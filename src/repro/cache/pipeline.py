@@ -11,31 +11,30 @@ This module closes the loop.  :func:`persist_dataset` writes a
 :class:`~repro.sim.simulation.SimulationDataset`'s *observable* layers
 into an :class:`~repro.cache.store.ArtifactStore`:
 
-==============  ======  ==================================================
-layer           kind    contents
-==============  ======  ==================================================
-``console``     text    the rendered console log (zlib-compressed)
-``parsed``      pickle  ``(EventLog, ParseStats)`` — the SEC output
-``nvsmi``       npz     the fleet nvidia-smi table
-``jobsnap``     pickle  per-job snapshot records (Figs. 16–20 data)
-``trace``       pickle  the columnar job accounting trace
-==============  ======  ==================================================
-
-With ``streaming=True`` the console layer is persisted *sharded*
-instead — ``console.manifest`` (json) plus ``console.NNNNNN`` text
-shards, whole-line aligned, under the **same dataset key** — so a
-scale-4 stream never exists as one resident string.  Loads accept
-either form (monolithic preferred when both exist): shards are
-checksum-verified eagerly at load, one at a time, and the reconstructed
-``console_text`` reassembles lazily, only if something actually asks
-for the monolithic string.  Reassembly is byte-identical to the
-monolithic layer.
+====================  ======  ============================================
+layer                 kind    contents
+====================  ======  ============================================
+``console.NNNNNN``    text    one whole-line console shard per render window
+``parsed``            pickle  ``(EventLog, ParseStats)`` — the SEC output
+``nvsmi``             npz     the fleet nvidia-smi table
+``jobsnap``           pickle  per-job snapshot records (Figs. 16–20 data)
+``trace``             pickle  the columnar job accounting trace
+``console.manifest``  json    the shard list with per-shard SHA-256
+====================  ======  ============================================
 
 and :func:`load_or_simulate` reconstructs a :class:`CachedDataset` from
 them — skipping simulation, console rendering *and* parsing — or
 transparently falls back to a cold :class:`TitanSimulation` run (and
 persists the result) when any layer is missing or fails its checksum.
 A damaged or stale cache can cost time, never correctness.
+
+On a cold run the console log is rendered once: each render window is
+parsed and, in the same pass, written to the store as one shard, so
+the full log text is never resident.  The manifest is written last —
+a crash mid-persist leaves no manifest and the dataset reads as a
+miss.  Loads verify every shard against the manifest eagerly, one at a
+time, and reassemble ``console_text`` lazily, only if something asks
+for the whole string.
 
 Ground truth (the injector's event log, the fleet ledgers) is *not*
 cached: analyses must run from observables exactly like the paper's
@@ -45,17 +44,14 @@ via ``require_ground_truth=True``, which always simulates.
 
 from __future__ import annotations
 
+import hashlib
+from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
 from repro import perf
 from repro.cache.keys import PIPELINE_EPOCH, dataset_key
 from repro.cache.store import ArtifactStore
-from repro.stream.shards import (
-    DEFAULT_SHARD_LINES,
-    ShardCorruption,
-    ShardInfo,
-    ShardManifest,
-)
+from repro.stream.shards import ShardCorruption, ShardInfo, ShardManifest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -78,13 +74,17 @@ __all__ = [
     "load_or_simulate",
 ]
 
-#: ``(layer name, serde kind)`` of every persisted dataset layer.
+#: Layer name of the sharded-console manifest artifact.
+_CONSOLE_MANIFEST_LAYER = "console.manifest"
+
+#: ``(layer name, serde kind)`` of every persisted dataset layer besides
+#: the console shards, in write order: the manifest comes last.
 DATASET_LAYERS: tuple[tuple[str, str], ...] = (
-    ("console", "text"),
     ("parsed", "pickle"),
     ("nvsmi", "npz"),
     ("jobsnap", "pickle"),
     ("trace", "pickle"),
+    (_CONSOLE_MANIFEST_LAYER, "json"),
 )
 
 
@@ -100,10 +100,6 @@ class GroundTruthUnavailable(RuntimeError):
 
 def _layer_key(dkey: str, layer: str) -> str:
     return f"{dkey}/layer/{layer}"
-
-
-#: Layer name of the sharded-console manifest artifact.
-_CONSOLE_MANIFEST_LAYER = "console.manifest"
 
 
 def _console_shard_layer(index: int) -> str:
@@ -128,7 +124,7 @@ class CachedDataset:
         self,
         scenario: "Scenario",
         *,
-        console_text: "Union[str, Callable[[], str]]",
+        console_shards: "Callable[[], Iterable[str]]",
         parsed: "tuple[EventLog, ParseStats]",
         nvsmi_table: "dict[str, np.ndarray]",
         jobsnap_records: "list[JobSnapshotRecord]",
@@ -139,15 +135,10 @@ class CachedDataset:
         self.scenario = scenario
         self.machine = TitanMachine(folded_torus=scenario.folded_torus)
         self.trace = trace
-        # ``console_text`` may be a thunk: sharded loads defer the
-        # monolithic reassembly until something actually needs the
-        # whole string (the parsed layer covers every analysis path).
-        if callable(console_text):
-            self._console_text: Optional[str] = None
-            self._console_source: Optional[Callable[[], str]] = console_text
-        else:
-            self._console_text = console_text
-            self._console_source = None
+        # ``console_shards`` yields the stream's whole-line text pieces
+        # in order; the whole string is joined only if someone asks.
+        self._console_shards = console_shards
+        self._console_text: Optional[str] = None
         self._parsed = parsed
         self._nvsmi_table = nvsmi_table
         self._jobsnap = jobsnap_records
@@ -158,9 +149,22 @@ class CachedDataset:
     @property
     def console_text(self) -> str:
         if self._console_text is None:
-            assert self._console_source is not None
-            self._console_text = self._console_source()
+            self._console_text = "".join(self._console_shards())
         return self._console_text
+
+    def console_blocks(self) -> "Iterator[list[str]]":
+        """The console stream as whole-line blocks, one shard at a time."""
+        for text in self._console_shards():
+            yield text.splitlines()
+
+    def parse_console(
+        self, sink: "Optional[Callable[[list[str]], None]]" = None
+    ) -> "tuple[EventLog, ParseStats]":
+        """The cached parse; ``sink`` also receives every console block."""
+        if sink is not None:
+            for block in self.console_blocks():
+                sink(block)
+        return self._parsed
 
     @property
     def parsed_events(self) -> "EventLog":
@@ -198,13 +202,14 @@ class CachedDataset:
         under the clean dataset's key.
         """
         if parsed is None:
-            from repro.telemetry.parser import ConsoleLogParser
+            from repro.telemetry.console import text_windows
+            from repro.telemetry.parallel_parse import parse_blocks
 
-            log, stats = ConsoleLogParser(self.machine).parse_text(text)
+            log, stats = parse_blocks(text_windows(text), self.machine)
             parsed = (log.sorted_by_time(), stats)
         clone = CachedDataset(
             self.scenario,
-            console_text=text,
+            console_shards=lambda: (text,),
             parsed=parsed,
             nvsmi_table=self._nvsmi_table,
             jobsnap_records=self._jobsnap,
@@ -265,87 +270,18 @@ class CachedDataset:
         )
 
 
-def _console_line_source(dataset: Any) -> Any:
-    """Bounded-memory line iterator over a dataset's console stream.
-
-    A simulated dataset that has not materialized its text renders
-    straight from the injector's events (the exact :meth:`lines`
-    sequence); anything else splits the already-resident string.
-    """
-    from repro.sim.simulation import SimulationDataset
-
-    if (
-        isinstance(dataset, SimulationDataset)
-        and dataset._console_text is None
-    ):
-        from repro.telemetry.console import ConsoleLogWriter
-
-        return ConsoleLogWriter(dataset.machine).iter_lines_chunked(
-            dataset.injection.events
-        )
-    return iter(dataset.console_text.splitlines())
-
-
-def _persist_console_shards(
-    store: ArtifactStore,
-    dkey: str,
-    dataset: Any,
-    shard_lines: int,
-) -> None:
-    """Stream the console layer into per-shard artifacts + a manifest.
-
-    Shards are written first, the manifest last — a crash mid-persist
-    leaves no manifest, so the layer reads as absent, never as a
-    partially-valid shard set (mirroring ``write_shards``).
-    """
-    import hashlib
-
-    from repro.stream.shards import iter_shard_payloads
-
-    shards: list[ShardInfo] = []
-    total_lines = 0
-    total_bytes = 0
-    for n_lines, text in iter_shard_payloads(
-        _console_line_source(dataset), max_lines_per_shard=shard_lines
-    ):
-        payload = text.encode("utf-8")
-        name = _console_shard_layer(len(shards))
-        store.put(_layer_key(dkey, name), text, "text")
-        shards.append(
-            ShardInfo(
-                name=name,
-                lines=n_lines,
-                nbytes=len(payload),
-                sha256=hashlib.sha256(payload).hexdigest(),
-            )
-        )
-        total_lines += n_lines
-        total_bytes += len(payload)
-    manifest = ShardManifest(
-        total_lines=total_lines,
-        total_bytes=total_bytes,
-        shards=tuple(shards),
-    )
-    store.put(
-        _layer_key(dkey, _CONSOLE_MANIFEST_LAYER), manifest.to_doc(), "json"
-    )
-
-
 def persist_dataset(
     store: ArtifactStore,
     dataset: "Union[SimulationDataset, CachedDataset]",
     *,
     epoch: int = PIPELINE_EPOCH,
-    streaming: bool = False,
-    shard_lines: int = DEFAULT_SHARD_LINES,
 ) -> str:
     """Write every observable layer of ``dataset``; returns the dataset key.
 
-    Materializing ``parsed`` forces the render → parse pipeline, so a
-    cold persist pays the full collection cost exactly once.  With
-    ``streaming=True`` the console layer is written as whole-line
-    shards (``shard_lines`` lines each) under the same dataset key and
-    the monolithic string is never materialized here.
+    The console stream goes to the store block by block, one shard per
+    block.  On a dataset not parsed yet the blocks are the parse's own
+    render windows, so a cold persist renders the log once, parses it
+    and shards it in the same pass.  The manifest is written last.
     """
     if getattr(dataset, "provenance", "simulated") == "modified":
         raise ValueError(
@@ -353,20 +289,39 @@ def persist_dataset(
             "stream under its scenario's content address"
         )
     dkey = dataset_key(dataset.scenario, epoch=epoch)
+    shards: list[ShardInfo] = []
+
+    def put_shard(lines: list[str]) -> None:
+        text = "\n".join(lines) + "\n"
+        payload = text.encode("utf-8")
+        name = _console_shard_layer(len(shards))
+        with perf.stage("cache.persist"):
+            store.put(_layer_key(dkey, name), text, "text")
+        shards.append(
+            ShardInfo(
+                name=name,
+                lines=len(lines),
+                nbytes=len(payload),
+                sha256=hashlib.sha256(payload).hexdigest(),
+            )
+        )
+
+    parsed = dataset.parse_console(put_shard)
+    manifest = ShardManifest(
+        total_lines=sum(shard.lines for shard in shards),
+        total_bytes=sum(shard.nbytes for shard in shards),
+        shards=tuple(shards),
+    )
     layers: dict[str, Any] = {
-        "parsed": (dataset.parsed_events, dataset.parse_stats),
+        "parsed": parsed,
         "nvsmi": dataset.nvsmi_table,
         "jobsnap": dataset.jobsnap_records,
         "trace": dataset.trace,
+        _CONSOLE_MANIFEST_LAYER: manifest.to_doc(),
     }
-    if not streaming:
-        layers["console"] = dataset.console_text
     with perf.stage("cache.persist"):
         for layer, kind in DATASET_LAYERS:
-            if layer in layers:
-                store.put(_layer_key(dkey, layer), layers[layer], kind)
-        if streaming:
-            _persist_console_shards(store, dkey, dataset, shard_lines)
+            store.put(_layer_key(dkey, layer), layers[layer], kind)
     return dkey
 
 
@@ -378,27 +333,39 @@ def load_dataset(
 ) -> Optional[CachedDataset]:
     """Reconstruct a dataset from the store, or ``None`` on any miss.
 
-    Every layer is fully decoded (checksum-verified) up front: a
-    truncated or garbled artifact degrades to a miss — the caller then
-    recomputes — never to a partially-wrong dataset.
+    Every layer is fully decoded (checksum-verified) up front, and every
+    console shard is re-digested against the manifest, one shard
+    resident at a time: a truncated, garbled or missing artifact
+    degrades to a miss — the caller then recomputes — never to a
+    partially-wrong dataset.
     """
     dkey = dataset_key(scenario, epoch=epoch)
     decoded: dict[str, Any] = {}
     with perf.stage("cache.load"):
         for layer, _kind in DATASET_LAYERS:
-            if layer == "console":
-                console = _load_console_layer(store, dkey)
-                if console is None:
-                    return None
-                decoded[layer] = console
-                continue
             obj = store.get(_layer_key(dkey, layer))
             if obj is None:
                 return None
             decoded[layer] = obj
+        manifest = _verified_manifest(
+            store, dkey, decoded[_CONSOLE_MANIFEST_LAYER]
+        )
+        if manifest is None:
+            return None
+
+    def console_shards() -> "Iterator[str]":
+        for shard in manifest.shards:
+            text = store.get(_layer_key(dkey, shard.name))
+            if text is None:
+                raise ShardCorruption(
+                    f"console shard {shard.name} vanished after load "
+                    f"verification (dataset {dkey})"
+                )
+            yield text
+
     return CachedDataset(
         scenario,
-        console_text=decoded["console"],
+        console_shards=console_shards,
         parsed=tuple(decoded["parsed"]),
         nvsmi_table=decoded["nvsmi"],
         jobsnap_records=decoded["jobsnap"],
@@ -406,55 +373,25 @@ def load_dataset(
     )
 
 
-def _load_console_layer(
-    store: ArtifactStore, dkey: str
-) -> "Union[str, Callable[[], str], None]":
-    """The console layer in whichever form it was persisted.
-
-    Monolithic wins when both forms exist (it is already one decode).
-    A sharded layer is *verified* eagerly — every shard is decoded
-    (store checksums) and its payload re-digested against the
-    manifest, one shard resident at a time — but *reassembled* lazily:
-    the returned thunk re-reads the shards only if ``console_text`` is
-    actually touched.  Any missing or drifted shard degrades to a miss
-    (``None``), and the caller recomputes.
-    """
-    text = store.get(_layer_key(dkey, "console"))
-    if text is not None:
-        return text
-    doc = store.get(_layer_key(dkey, _CONSOLE_MANIFEST_LAYER))
-    if doc is None:
-        return None
-    import hashlib
-
+def _verified_manifest(
+    store: ArtifactStore, dkey: str, doc: Any
+) -> Optional[ShardManifest]:
+    """The console manifest, if every shard it lists matches its digest."""
     try:
         manifest = ShardManifest.from_doc(doc)
     except (ShardCorruption, KeyError, TypeError, ValueError):
         return None
     for shard in manifest.shards:
-        payload = store.get(_layer_key(dkey, shard.name))
-        if payload is None or not isinstance(payload, str):
+        text = store.get(_layer_key(dkey, shard.name))
+        if not isinstance(text, str):
             return None
-        encoded = payload.encode("utf-8")
+        payload = text.encode("utf-8")
         if (
-            len(encoded) != shard.nbytes
-            or hashlib.sha256(encoded).hexdigest() != shard.sha256
+            len(payload) != shard.nbytes
+            or hashlib.sha256(payload).hexdigest() != shard.sha256
         ):
             return None
-
-    def reassemble() -> str:
-        parts: list[str] = []
-        for shard in manifest.shards:
-            payload = store.get(_layer_key(dkey, shard.name))
-            if payload is None:
-                raise ShardCorruption(
-                    f"console shard {shard.name} vanished after load "
-                    f"verification (dataset {dkey})"
-                )
-            parts.append(payload)
-        return "".join(parts)
-
-    return reassemble
+    return manifest
 
 
 def has_dataset(
@@ -467,21 +404,11 @@ def has_dataset(
 
     Full validation happens on :func:`load_dataset`; a probe that lies
     (an artifact exists but is corrupt) only costs a recompute later.
-    The console layer counts as present in either form — monolithic
-    artifact or shard manifest.
     """
     dkey = dataset_key(scenario, epoch=epoch)
-    for layer, _ in DATASET_LAYERS:
-        if layer == "console":
-            if not (
-                store.has(_layer_key(dkey, layer))
-                or store.has(_layer_key(dkey, _CONSOLE_MANIFEST_LAYER))
-            ):
-                return False
-            continue
-        if not store.has(_layer_key(dkey, layer)):
-            return False
-    return True
+    return all(
+        store.has(_layer_key(dkey, layer)) for layer, _kind in DATASET_LAYERS
+    )
 
 
 def load_or_simulate(
@@ -490,26 +417,18 @@ def load_or_simulate(
     *,
     require_ground_truth: bool = False,
     epoch: int = PIPELINE_EPOCH,
-    streaming: bool = False,
-    shard_lines: int = DEFAULT_SHARD_LINES,
 ) -> "tuple[Union[SimulationDataset, CachedDataset], bool]":
     """The incremental front door: ``(dataset, warm)``.
 
     * ``store is None`` — plain cold simulation, nothing persisted.
     * warm hit — all layers validate: no simulation, no render, no
       parse; ``warm`` is ``True``.
-    * miss/corruption — simulate cold, persist every layer, return the
-      fully simulated dataset (``warm`` is ``False``).
+    * miss/corruption — simulate cold, then render, parse and persist
+      every layer in one pass; return the fully simulated dataset
+      (``warm`` is ``False``).
     * ``require_ground_truth=True`` — always simulate (validation needs
       the injector's ledgers), but still persist the layers so future
       observable-only runs are warm.
-
-    ``streaming=True`` keeps the cold path inside a fixed memory
-    budget: the simulation parses its console round-trip in streamed
-    chunks and the console layer persists as shards (``shard_lines``
-    each) — results and dataset keys are identical either way, so a
-    streamed run warms the cache for monolithic consumers and vice
-    versa.
     """
     from repro.sim.simulation import TitanSimulation
 
@@ -517,13 +436,7 @@ def load_or_simulate(
         cached = load_dataset(store, scenario, epoch=epoch)
         if cached is not None:
             return cached, True
-    dataset = TitanSimulation(scenario, streaming=streaming).run()
+    dataset = TitanSimulation(scenario).run()
     if store is not None:
-        persist_dataset(
-            store,
-            dataset,
-            epoch=epoch,
-            streaming=streaming,
-            shard_lines=shard_lines,
-        )
+        persist_dataset(store, dataset, epoch=epoch)
     return dataset, False

@@ -1,9 +1,11 @@
 """``python -m repro profile`` — stage-level pipeline profiling.
 
-Runs the cold pipeline (simulate → render → parse → nvsmi → jobsnap,
-plus a cache persist when a store is configured) with the
-:mod:`repro.perf` registry enabled and prints the per-stage wall-time
-breakdown the registry collected.  This is the operator-facing view of
+Runs the cold pipeline with the :mod:`repro.perf` registry enabled and
+prints the per-stage wall-time breakdown the registry collected.  The
+order is that of a cold ``load_or_simulate``: simulate, then — with a
+store configured — the persist's fused render → parse → shard pass,
+then nvsmi and jobsnap.  Render and parse are timed per window as
+separate stages inside that pass.  This is the operator-facing view of
 the same numbers ``benchmarks/measure_pipeline.py`` embeds in
 ``BENCH_pipeline.json``.
 """
@@ -20,10 +22,6 @@ __all__ = ["add_profile_arguments", "cmd_profile"]
 def add_profile_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach ``profile``-specific options (shared options come from the
     caller's ``_add_common``)."""
-    parser.add_argument(
-        "--parse-workers", type=int, default=0,
-        help="shard console parsing across this many worker processes "
-             "(0 = serial; results are identical either way)")
     parser.add_argument(
         "--json", action="store_true", dest="as_json",
         help="emit the breakdown as JSON instead of a table")
@@ -63,19 +61,16 @@ def cmd_profile(args) -> int:
     perf.enable()
     t0 = time.perf_counter()
     try:
-        dataset = TitanSimulation(
-            scenario, parse_workers=args.parse_workers
-        ).run()
-        # Touch every observable layer so each lazy stage runs exactly
-        # once, in pipeline order.
-        _ = dataset.console_text
-        _ = dataset.parsed_events
-        _ = dataset.nvsmi_table
-        _ = dataset.jobsnap_records
+        dataset = TitanSimulation(scenario).run()
         if store is not None:
             from repro.cache.pipeline import persist_dataset
 
             persist_dataset(store, dataset)
+        # Without a store these run each lazy stage once, in pipeline
+        # order; after a persist they are no-ops.
+        _ = dataset.parsed_events
+        _ = dataset.nvsmi_table
+        _ = dataset.jobsnap_records
     finally:
         perf.disable()
     wall_s = time.perf_counter() - t0
@@ -85,12 +80,10 @@ def cmd_profile(args) -> int:
         print(json.dumps({
             "scenario": scenario.name,
             "seed": scenario.seed,
-            "parse_workers": int(args.parse_workers),
             "wall_s": wall_s,
             **snapshot,
         }, indent=2))
         return 0
-    print(f"scenario {scenario.name!r} seed {scenario.seed} "
-          f"parse_workers {args.parse_workers}")
+    print(f"scenario {scenario.name!r} seed {scenario.seed}")
     print(_render_table(snapshot, wall_s))
     return 0

@@ -6,21 +6,24 @@ The simulation is staged exactly as DESIGN.md's dataflow describes:
    card fleet;
 2. generate and schedule the 21-month workload;
 3. run all fault injectors (hardware → software → cascades → SBE);
-4. render the console log *text* and parse it back through the SEC
-   rules — the analyses consume the round-tripped log, never the
-   injector's in-memory events;
+4. render the console log and parse it back through the SEC rules —
+   the analyses consume the round-tripped log, never the injector's
+   in-memory events.  Rendering and parsing are one pass over
+   fixed-size row windows, so the full log text is never resident
+   unless a caller asks for ``console_text``;
 5. expose nvidia-smi fleet tables and per-job snapshot records.
 
-Heavy artifacts (log text, parsed log, nvsmi table, snapshot records)
-are materialized lazily and cached on the dataset.  ``default_dataset``
-memoizes whole datasets per scenario so a test session or benchmark run
-simulates each configuration once.
+Heavy artifacts (parsed log, nvsmi table, snapshot records, and the
+log text if requested) are materialized lazily and cached on the
+dataset.  ``default_dataset`` memoizes whole datasets per scenario so a
+test session or benchmark run simulates each configuration once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,11 +33,8 @@ from repro.faults.injector import FaultInjector, InjectionResult
 from repro.gpu.fleet import GPUFleet
 from repro.rng import RngTree
 from repro.sim.scenario import Scenario
-from repro.telemetry.console import ConsoleLogWriter
-from repro.telemetry.parallel_parse import (
-    parse_lines_chunked,
-    parse_text_parallel,
-)
+from repro.telemetry.console import ConsoleLogWriter, text_windows
+from repro.telemetry.parallel_parse import parse_blocks
 from repro.telemetry.jobsnap import JobSnapshotFramework, JobSnapshotRecord
 from repro.telemetry.nvsmi import NvidiaSmi
 from repro.telemetry.parser import ParseStats
@@ -73,17 +73,6 @@ class SimulationDataset:
     #: a modified stream must never be written back under the clean
     #: scenario's content address.
     provenance: str = "simulated"
-    #: Worker processes for console parsing (0/1 = serial in-process).
-    #: Output is byte-identical at any worker count; this only trades
-    #: wall time — see :mod:`repro.telemetry.parallel_parse`.
-    parse_workers: int = 0
-    #: Stream the console round-trip instead of materializing the full
-    #: log text: events render chunk-by-chunk straight into the chunked
-    #: parser, so peak memory is one render window plus one line chunk
-    #: no matter the machine scale.  The parsed log and statistics are
-    #: bit-identical to the monolithic path; only ``console_text``
-    #: still materializes the whole string (on demand, if asked).
-    streaming: bool = False
     _console_text: Optional[str] = field(default=None, repr=False)
     _parsed: Optional[tuple[EventLog, ParseStats]] = field(default=None, repr=False)
     _nvsmi_table: Optional[dict[str, np.ndarray]] = field(default=None, repr=False)
@@ -95,46 +84,66 @@ class SimulationDataset:
 
     @property
     def console_text(self) -> str:
-        """The rendered console log (lazily materialized)."""
+        """The rendered console log (materialized only when asked for)."""
         if self._console_text is None:
             with perf.stage("telemetry.render"):
                 writer = ConsoleLogWriter(self.machine)
                 self._console_text = writer.to_text(self.injection.events)
         return self._console_text
 
-    @property
-    def parsed_events(self) -> EventLog:
-        """Console events as the analysis sees them: text → SEC → log,
-        time-sorted, with no parent annotations."""
-        return self._parse()[0]
+    def console_blocks(self) -> Iterator[list[str]]:
+        """The console stream as whole-line blocks, never held whole.
 
-    @property
-    def parse_stats(self) -> ParseStats:
-        return self._parse()[1]
+        A replaced (or already materialized) text is split into
+        window-sized blocks; otherwise the injector's events render one
+        window at a time, each timed as the ``telemetry.render`` stage.
+        """
+        if self._console_text is not None:
+            yield from text_windows(self._console_text)
+            return
+        windows = ConsoleLogWriter(self.machine).windows(self.injection.events)
+        while True:
+            with perf.stage("telemetry.render"):
+                lines = next(windows, None)
+            if lines is None:
+                return
+            yield lines
 
-    def _parse(self) -> tuple[EventLog, ParseStats]:
+    def parse_console(
+        self, sink: Optional[Callable[[list[str]], None]] = None
+    ) -> tuple[EventLog, ParseStats]:
+        """The parsed console ``(time-sorted log, statistics)``.
+
+        The first call runs the round trip: each block of
+        :meth:`console_blocks` goes through the one parse core.
+        ``sink``, if given, also receives every block in order — the
+        cache's shard layer uses it to share the single render pass.
+        Once the parse is done, a ``sink`` is fed by re-reading
+        :meth:`console_blocks`.
+        """
         if self._parsed is None:
-            if self.streaming and self._console_text is None:
-                # Render → parse as one streamed pass; the full log
-                # text never exists.  (A chaos-replaced stream ignores
-                # the flag — the replacement text *is* the artifact.)
-                writer = ConsoleLogWriter(self.machine)
-                with perf.stage("telemetry.parse"):
-                    log, stats = parse_lines_chunked(
-                        writer.iter_lines_chunked(self.injection.events),
-                        self.machine,
-                    )
-            else:
-                text = self.console_text
-                with perf.stage("telemetry.parse"):
-                    log, stats = parse_text_parallel(
-                        text, self.machine, n_workers=self.parse_workers
-                    )
+            blocks = self.console_blocks()
+            if sink is not None:
+                blocks = _tee(blocks, sink)
+            log, stats = parse_blocks(blocks, self.machine)
             with perf.stage("telemetry.sort"):
                 self._parsed = (log.sorted_by_time(), stats)
             perf.count("telemetry.lines", stats.total_lines)
             perf.count("telemetry.events", stats.parsed_events)
+        elif sink is not None:
+            for block in self.console_blocks():
+                sink(block)
         return self._parsed
+
+    @property
+    def parsed_events(self) -> EventLog:
+        """Console events as the analysis sees them: text → SEC → log,
+        time-sorted, with no parent annotations."""
+        return self.parse_console()[0]
+
+    @property
+    def parse_stats(self) -> ParseStats:
+        return self.parse_console()[1]
 
     def with_console_text(
         self,
@@ -208,28 +217,11 @@ class SimulationDataset:
 
 
 class TitanSimulation:
-    """Runs one scenario end to end.
+    """Runs one scenario end to end."""
 
-    ``parse_workers`` is forwarded to the produced dataset's lazy
-    console parse (see :mod:`repro.telemetry.parallel_parse`); it never
-    changes results, only wall time.  ``streaming`` selects the
-    bounded-memory console round-trip (bit-identical results; see
-    :class:`SimulationDataset.streaming`) — the streamed parse is
-    serial, so ``parse_workers`` only matters if the monolithic text is
-    later materialized anyway.
-    """
-
-    def __init__(
-        self,
-        scenario: Scenario,
-        *,
-        parse_workers: int = 0,
-        streaming: bool = False,
-    ) -> None:
+    def __init__(self, scenario: Scenario) -> None:
         scenario.validate()
         self.scenario = scenario
-        self.parse_workers = int(parse_workers)
-        self.streaming = bool(streaming)
 
     def run(self) -> SimulationDataset:
         sc = self.scenario
@@ -274,9 +266,15 @@ class TitanSimulation:
             trace=trace,
             injection=injection,
             nvsmi=nvsmi,
-            parse_workers=self.parse_workers,
-            streaming=self.streaming,
         )
+
+
+def _tee(
+    blocks: Iterable[list[str]], sink: Callable[[list[str]], None]
+) -> Iterator[list[str]]:
+    for block in blocks:
+        sink(block)
+        yield block
 
 
 _DATASET_CACHE: dict[str, SimulationDataset] = {}

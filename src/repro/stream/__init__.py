@@ -2,10 +2,10 @@
 
 The generation side renders telemetry straight to whole-line-aligned
 disk shards (:func:`write_shards`) instead of joining one giant
-string; the consumption side parses shard manifests back with bounded
-memory (:func:`repro.telemetry.parallel_parse.parse_shards_parallel`)
-and the cache persists sharded console layers under the same dataset
-keys as the monolithic path.  See docs/PERFORMANCE.md ("Memory").
+string; readers verify each shard against the manifest digest and
+hold one shard at a time.  The artifact cache persists the console
+layer in the same manifest format.  See docs/PERFORMANCE.md
+("Memory").
 """
 
 from repro.stream.shards import (
@@ -14,11 +14,9 @@ from repro.stream.shards import (
     ShardCorruption,
     ShardInfo,
     ShardManifest,
-    iter_shard_lines,
     iter_shard_payloads,
     iter_shard_texts,
     read_manifest,
-    read_shard_text,
     reassemble_text,
     verify_shards,
     write_shards,
@@ -30,11 +28,9 @@ __all__ = [
     "ShardCorruption",
     "ShardInfo",
     "ShardManifest",
-    "iter_shard_lines",
     "iter_shard_payloads",
     "iter_shard_texts",
     "read_manifest",
-    "read_shard_text",
     "reassemble_text",
     "verify_shards",
     "write_shards",

@@ -44,8 +44,6 @@ __all__ = [
     "write_shards",
     "iter_shard_payloads",
     "read_manifest",
-    "read_shard_text",
-    "iter_shard_lines",
     "iter_shard_texts",
     "reassemble_text",
     "verify_shards",
@@ -160,9 +158,8 @@ def iter_shard_payloads(
     ``max_lines_per_shard`` whole lines (lines must not already contain
     ``\\n``), so concatenating the payloads in order reproduces the
     monolithic rendering with its trailing newline.  At most one
-    shard's lines are buffered at a time.  This is the chunking shared
-    by every sharded sink — files (:func:`write_shards`) and the
-    artifact store's sharded console layer.
+    shard's lines are buffered at a time.  This is the chunking behind
+    :func:`write_shards`.
     """
     if max_lines_per_shard < 1:
         raise ValueError("max_lines_per_shard must be >= 1")
@@ -266,23 +263,6 @@ def _read_shard_bytes(
     return payload
 
 
-def read_shard_text(
-    directory: str | Path,
-    shard: ShardInfo,
-    *,
-    verify: bool = True,
-) -> str:
-    """Read one shard's decoded text (optionally digest-verified).
-
-    The random-access counterpart of :func:`iter_shard_texts`; parallel
-    consumers hand each worker a :class:`ShardInfo` and let it pull its
-    own shard off disk instead of shipping payloads between processes.
-    """
-    return _read_shard_bytes(Path(directory), shard, verify=verify).decode(
-        "utf-8"
-    )
-
-
 def iter_shard_texts(
     directory: str | Path,
     manifest: ShardManifest | None = None,
@@ -302,21 +282,6 @@ def iter_shard_texts(
         yield _read_shard_bytes(directory, shard, verify=verify).decode(
             "utf-8"
         )
-
-
-def iter_shard_lines(
-    directory: str | Path,
-    manifest: ShardManifest | None = None,
-    *,
-    verify: bool = True,
-) -> Iterator[str]:
-    """Yield every line of a sharded stream, shard by shard.
-
-    Because shards are whole-line aligned, this is exactly the line
-    sequence of the monolithic rendering.
-    """
-    for text in iter_shard_texts(directory, manifest, verify=verify):
-        yield from text.splitlines()
 
 
 def reassemble_text(

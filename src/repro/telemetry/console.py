@@ -16,27 +16,21 @@ analysis layer's job, as it was for the paper's authors.
 
 from __future__ import annotations
 
-import io
+import dataclasses
 from collections.abc import Iterator
-from pathlib import Path
 
-from repro.errors.event import STRUCTURE_CODES, EventLog, structure_from_code
-from repro.errors.xid import ErrorType, from_code
-from repro.stream.shards import (
-    DEFAULT_SHARD_LINES,
-    ShardManifest,
-    write_shards,
-)
+from repro.errors.event import STRUCTURE_CODES, EventLog
+from repro.errors.xid import ErrorType
 from repro.telemetry.timecodec import format_timestamps
 from repro.topology.machine import TitanMachine
-from repro.units import timestamp_to_datetime
 
-__all__ = ["render_event_line", "ConsoleLogWriter", "RENDER_CHUNK_ROWS"]
+__all__ = ["ConsoleLogWriter", "RENDER_CHUNK_ROWS", "text_windows"]
 
-#: Row granularity of the streaming render: timestamps vectorize one
-#: chunk at a time, so the writer never holds the whole stream's stamp
-#: strings at once.  Purely a memory knob — the rendered bytes are
-#: identical at any value.
+#: Row granularity of the render: timestamps vectorize one window at a
+#: time, so the writer never holds the whole stream's stamp strings at
+#: once, and each window is one parse block and one cached console
+#: shard.  Purely a memory knob — the rendered bytes are identical at
+#: any value.
 RENDER_CHUNK_ROWS: int = 131_072
 
 #: Short console phrasing per type (the SEC rules in sec.py must match).
@@ -62,34 +56,6 @@ _PHRASES: dict[ErrorType, str] = {
 }
 
 
-def render_event_line(
-    time: float,
-    cname: str,
-    etype: ErrorType,
-    *,
-    structure_name: str | None = None,
-    page: int | None = None,
-    job: int = -1,
-) -> str:
-    """Render one console log line; raises for unloggable types (SBE)."""
-    if etype is ErrorType.SBE:
-        raise ValueError("single-bit errors are never written to the console log")
-    stamp = timestamp_to_datetime(time).strftime("%Y-%m-%dT%H:%M:%S.%f")
-    phrase = _PHRASES[etype]
-    if etype is ErrorType.OFF_THE_BUS:
-        body = phrase  # host-side message, no XID
-    else:
-        body = f"GPU XID {etype.xid}: {phrase}"
-    if structure_name is not None:
-        body += f" in {structure_name}"
-        if page is not None and page >= 0:
-            body += f" page 0x{page:06x}"
-    line = f"{stamp} {cname} {body}"
-    if job >= 0:
-        line += f" [job={job}]"
-    return line
-
-
 _SBE_CODE: int = ErrorType.SBE.code
 
 #: etype code → constant line-body head ("GPU XID n: phrase", or the
@@ -110,14 +76,25 @@ _STRUCT_NAME_BY_CODE: list[str] = [
 ]
 
 
+def text_windows(text: str) -> Iterator[list[str]]:
+    """The lines of ``text`` in blocks of :data:`RENDER_CHUNK_ROWS` lines.
+
+    The block source for a console stream that is already one string
+    (a chaos-replaced or materialized log); no block is empty.
+    """
+    lines = text.splitlines()
+    step = RENDER_CHUNK_ROWS
+    for start in range(0, len(lines), step):
+        yield lines[start : start + step]
+
+
 class ConsoleLogWriter:
     """Streams an :class:`EventLog` out as Titan console-log text.
 
     The hot path renders from precomputed tables (body heads per etype
     code, structure names per code, the machine-wide cname table, and
-    the fixed-format timestamp codec); it is byte-identical to calling
-    :func:`render_event_line` per row, which remains as the verification
-    reference (see ``lines_reference``).
+    the fixed-format timestamp codec); the tests pin it byte for byte
+    against a per-row ``strftime`` reference rendering.
     """
 
     def __init__(self, machine: TitanMachine) -> None:
@@ -152,90 +129,27 @@ class ConsoleLogWriter:
             else:
                 yield f"{stamp} {cnames[gpu]} {body}"
 
-    def lines_reference(self, events: EventLog) -> Iterator[str]:
-        """Per-row reference rendering via :func:`render_event_line`.
+    def windows(self, events: EventLog) -> Iterator[list[str]]:
+        """The :meth:`lines` sequence as one list per
+        :data:`RENDER_CHUNK_ROWS` rows.
 
-        Kept (and exercised by the tests) to pin the fast path's output;
-        use :meth:`lines` everywhere else.
+        Only one window's timestamps and lines are resident at a time,
+        so a consumer that drains the windows in turn (the parser, a
+        shard sink) never holds the whole log.  Windows with no
+        loggable row (all SBE) are skipped, so no window is empty.
         """
-        for i in range(len(events)):
-            etype = from_code(int(events.etype[i]))
-            if etype is ErrorType.SBE:
-                continue
-            structure = structure_from_code(int(events.structure[i]))
-            page = int(events.aux[i])
-            yield render_event_line(
-                float(events.time[i]),
-                self.machine.cname(int(events.gpu[i])),
-                etype,
-                structure_name=None if structure is None else structure.value,
-                page=page if page >= 0 else None,
-                job=int(events.job[i]),
-            )
-
-    def iter_lines_chunked(
-        self, events: EventLog, *, chunk_rows: int = RENDER_CHUNK_ROWS
-    ) -> Iterator[str]:
-        """Yield the exact :meth:`lines` sequence with bounded memory.
-
-        :meth:`lines` vectorizes every timestamp up front — one string
-        per event, all resident at once.  This variant slices the log
-        into ``chunk_rows`` row windows and renders each through the
-        same fast path, so at most one window's stamps are alive; the
-        emitted lines are byte-identical.
-        """
-        if chunk_rows < 1:
-            raise ValueError("chunk_rows must be >= 1")
-        n = len(events)
-        for start in range(0, n, chunk_rows):
+        step = RENDER_CHUNK_ROWS
+        for start in range(0, len(events), step):
             window = EventLog(
                 **{
-                    name: getattr(events, name)[start : start + chunk_rows]
-                    for name in (
-                        "time",
-                        "gpu",
-                        "etype",
-                        "structure",
-                        "job",
-                        "parent",
-                        "aux",
-                    )
+                    f.name: getattr(events, f.name)[start : start + step]
+                    for f in dataclasses.fields(events)
                 }
             )
-            yield from self.lines(window)
-
-    def write_shards(
-        self,
-        events: EventLog,
-        directory: str | Path,
-        *,
-        max_lines_per_shard: int = DEFAULT_SHARD_LINES,
-    ) -> ShardManifest:
-        """Render straight to whole-line-aligned disk shards.
-
-        The concatenated shard payloads are byte-identical to
-        :meth:`to_text` (every line newline-terminated); see
-        :mod:`repro.stream.shards` for the manifest/digest contract.
-        Peak memory is one render window plus one shard buffer,
-        regardless of the stream's total size.
-        """
-        return write_shards(
-            self.iter_lines_chunked(events),
-            directory,
-            max_lines_per_shard=max_lines_per_shard,
-        )
-
-    def write(self, events: EventLog, stream: io.TextIOBase) -> int:
-        """Write all lines; returns the number written."""
-        n = 0
-        for line in self.lines(events):
-            stream.write(line + "\n")
-            n += 1
-        return n
+            lines = list(self.lines(window))
+            if lines:
+                yield lines
 
     def to_text(self, events: EventLog) -> str:
-        parts = list(self.lines(events))
-        if not parts:
-            return ""
-        parts.append("")  # trailing newline after the final line
-        return "\n".join(parts)
+        """The whole log as one newline-terminated string."""
+        return "".join("\n".join(lines) + "\n" for lines in self.windows(events))

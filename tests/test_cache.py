@@ -596,6 +596,16 @@ class TestPipeline:
         with pytest.raises(ValueError):
             persist_dataset(store, modified)
 
+    def test_chaos_replacement_on_cached_dataset(self, warm_store):
+        store, _ = warm_store
+        modified = load_dataset(store, SMOKE).with_console_text(
+            "one garbled line\n"
+        )
+        assert modified.provenance == "modified"
+        assert modified.console_text == "one garbled line\n"
+        assert modified.parse_stats.total_lines == 1
+        assert modified.parse_stats.malformed_lines == 1
+
     def test_epoch_bump_is_a_clean_miss(self, warm_store):
         store, _ = warm_store
         assert load_dataset(store, SMOKE, epoch=PIPELINE_EPOCH + 1) is None

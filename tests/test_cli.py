@@ -230,11 +230,12 @@ class TestCacheCommand:
         capsys.readouterr()
         assert main(["cache", "info", "--cache-dir", store, "--json"]) == 0
         info = json.loads(capsys.readouterr().out)
-        assert info["n_artifacts"] == 5  # the five dataset layers
+        # Four dataset layers, the console manifest and one console shard.
+        assert info["n_artifacts"] == 6
         assert len(info["datasets"]) == 1
         assert info["total_bytes"] > 0
         assert main(["cache", "clear", "--cache-dir", store, "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["removed"] == 5
+        assert json.loads(capsys.readouterr().out)["removed"] == 6
         assert main(["cache", "info", "--cache-dir", store, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["n_artifacts"] == 0
 
@@ -243,7 +244,7 @@ class TestCacheCommand:
         capsys.readouterr()
         assert main(["cache", "info", "--cache-dir", store]) == 0
         out = capsys.readouterr().out
-        assert "artifacts    5" in out
+        assert "artifacts    6" in out
         assert "datasets     1" in out
 
     def test_evict_requires_budget(self, tmp_path, capsys):
@@ -258,9 +259,28 @@ class TestCacheCommand:
                    "--max-mb", "0", "--json"])
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
-        assert len(out["evicted"]) == 5
+        assert len(out["evicted"]) == 6
         assert out["total_bytes"] == 0
 
     def test_cache_action_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cache"])
+
+
+class TestRemovedOptions:
+    """The result-neutral pipeline knobs are gone: passing one is a
+    usage error, not a silently ignored flag."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "--days", "3", "--streaming"], "--streaming"),
+            (["sweep", "run", "--no-cache", "--streaming"], "--streaming"),
+            (["profile", "--days", "3", "--parse-workers", "2"], "--parse-workers"),
+        ],
+    )
+    def test_flag_is_a_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.telemetry.parallel_parse as parallel_parse
 from repro.chaos.injector import ChaosConfig, CorruptionInjector
 from repro.telemetry.ingestion import (
     IngestionDegraded,
@@ -29,7 +28,7 @@ from repro.telemetry.nvsmi_text import (
     parse_nvsmi_query,
     render_nvsmi_query,
 )
-from repro.telemetry.parallel_parse import parse_lines_parallel
+from repro.telemetry.parallel_parse import parse_blocks
 from repro.telemetry.parser import ConsoleLogParser
 
 
@@ -330,30 +329,31 @@ class TestFastSlowEquivalence:
         _assert_same_parse(smoke_dataset.machine, variants)
 
 
-class TestParallelParse:
-    """Chunked-parallel parsing must be observably identical to the
-    serial parser: same rows, stats, errors and quarantine contents."""
+def _halves(lines):
+    """Two whole-line blocks, the seam after line ``ceil(n / 2)``."""
+    mid = -(-len(lines) // 2)
+    return [lines[:mid], lines[mid:]]
 
-    @pytest.fixture(autouse=True)
-    def _tiny_chunks(self, monkeypatch):
-        # Force real multi-chunk sharding on test-sized inputs.
-        monkeypatch.setattr(parallel_parse, "_MIN_CHUNK_LINES", 10)
+
+class TestParallelParse:
+    """Parsing a stream split into blocks must be observably identical
+    to one serial parse: same rows, stats, errors and quarantine
+    contents.  (Pinned examples; the property in ``test_stream`` draws
+    arbitrary splits.)"""
 
     def test_parallel_matches_serial(self, smoke_dataset, gpu_lines):
         lines = gpu_lines[:50] + ["@@garbage@@"] + gpu_lines[50:60]
         serial_log, serial_stats = ConsoleLogParser(
             smoke_dataset.machine
         ).parse_lines(lines)
-        par_log, par_stats = parse_lines_parallel(
-            lines, smoke_dataset.machine, n_workers=2, serial_threshold=0
-        )
+        par_log, par_stats = parse_blocks(_halves(lines), smoke_dataset.machine)
         _assert_logs_equal(par_log, serial_log)
         assert par_stats == serial_stats
 
     def test_torn_line_at_chunk_boundary(self, smoke_dataset, gpu_lines):
-        # 40 lines, 2 workers -> the chunk boundary falls after index
-        # 19.  Tear the last line of the first chunk (a splice of two
-        # records, the classic torn-write shape): chunking must not
+        # 40 lines in two blocks -> the seam falls after index 19.
+        # Tear the last line of the first block (a splice of two
+        # records, the classic torn-write shape): the split must not
         # change how the parser heals it, and the merged ParseStats
         # must still partition the input.
         base = gpu_lines[:40]
@@ -362,9 +362,7 @@ class TestParallelParse:
         serial_log, serial_stats = ConsoleLogParser(
             smoke_dataset.machine
         ).parse_lines(lines)
-        par_log, par_stats = parse_lines_parallel(
-            lines, smoke_dataset.machine, n_workers=2, serial_threshold=0
-        )
+        par_log, par_stats = parse_blocks(_halves(lines), smoke_dataset.machine)
         assert par_stats.resynced_lines == serial_stats.resynced_lines >= 1
         assert par_stats.accounted == par_stats.total_lines == 40
         _assert_logs_equal(par_log, serial_log)
@@ -381,13 +379,7 @@ class TestParallelParse:
             smoke_dataset.machine, quarantine=serial_sink
         ).parse_lines(lines)
         par_sink = QuarantineSink(capacity=3)
-        parse_lines_parallel(
-            lines,
-            smoke_dataset.machine,
-            n_workers=2,
-            serial_threshold=0,
-            quarantine=par_sink,
-        )
+        parse_blocks(_halves(lines), smoke_dataset.machine, quarantine=par_sink)
         assert par_sink.total == serial_sink.total
         assert par_sink.counts == serial_sink.counts
         assert par_sink.n_overflowed == serial_sink.n_overflowed
@@ -396,22 +388,16 @@ class TestParallelParse:
         ]
 
     def test_strict_raises_earliest_global_error(self, smoke_dataset, gpu_lines):
-        # Garbage in both chunks; the parallel strict error must carry
-        # the global line number of the *first* one, as a serial run
-        # would have raised.
+        # Garbage in both blocks; the strict error must carry the
+        # global line number of the *first* one, as a serial run would
+        # have raised.
         lines = list(gpu_lines[:40])
         lines[25] = "@@late garbage@@"
         lines[4] = "@@early garbage@@"
         with pytest.raises(IngestionError) as serial_exc:
             ConsoleLogParser(smoke_dataset.machine, strict=True).parse_lines(lines)
         with pytest.raises(IngestionError) as par_exc:
-            parse_lines_parallel(
-                lines,
-                smoke_dataset.machine,
-                n_workers=2,
-                serial_threshold=0,
-                strict=True,
-            )
+            parse_blocks(_halves(lines), smoke_dataset.machine, strict=True)
         assert par_exc.value.line_no == serial_exc.value.line_no == 5
         assert par_exc.value.category == serial_exc.value.category
 
@@ -422,12 +408,8 @@ class TestParallelParse:
                 smoke_dataset.machine, error_budget=0.2
             ).parse_lines(lines)
         with pytest.raises(IngestionDegraded) as par_exc:
-            parse_lines_parallel(
-                lines,
-                smoke_dataset.machine,
-                n_workers=2,
-                serial_threshold=0,
-                error_budget=0.2,
+            parse_blocks(
+                _halves(lines), smoke_dataset.machine, error_budget=0.2
             )
         assert par_exc.value.stats == serial_exc.value.stats
         assert par_exc.value.fraction == serial_exc.value.fraction

@@ -123,7 +123,6 @@ class TestProfileCli:
         )
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["parse_workers"] == 0
         assert doc["wall_s"] > 0
         stages = doc["stages"]
         # The pipeline's load-bearing stages must all be present.
@@ -145,3 +144,31 @@ class TestProfileCli:
         out = capsys.readouterr().out
         assert "telemetry.parse" in out
         assert "total wall" in out
+
+    def test_profile_with_store_times_the_fused_pass(self, tmp_path, capsys):
+        """With a store, the persist's render → parse → shard pass is
+        what gets timed: render and parse stay separate stages, timed
+        per window, and the whole log is never materialized."""
+        from repro.cli import main
+        from repro.telemetry import console
+
+        before = console.ConsoleLogWriter.to_text
+        calls = []
+
+        def spy(writer, events):
+            calls.append(len(events))
+            return before(writer, events)
+
+        console.ConsoleLogWriter.to_text = spy
+        try:
+            rc = main([
+                "profile", "--days", "3", "--seed", "7",
+                "--cache-dir", str(tmp_path), "--json",
+            ])
+        finally:
+            console.ConsoleLogWriter.to_text = before
+        assert rc == 0
+        stages = json.loads(capsys.readouterr().out)["stages"]
+        for name in ("telemetry.render", "telemetry.parse", "cache.persist"):
+            assert stages[name]["calls"] >= 1, name
+        assert calls == []

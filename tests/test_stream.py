@@ -1,17 +1,19 @@
-"""The streamed telemetry pipeline: shards, chunked parse, cache layers.
+"""The streamed telemetry pipeline: shards, block parse, cache layers.
 
-Everything here guards one contract: streaming is a *memory*
-optimization, never a semantic one.  Sharded renderings reassemble
-byte-identical to the monolithic text, chunked and manifest-driven
-parses reproduce the serial parser's log, statistics and quarantine
-exactly, the sharded console cache layer round-trips under the same
-dataset key, and a fully streamed paper run reproduces the committed
+Everything here guards one contract: rendering and parsing in blocks
+is a *memory* bound, never a semantic change.  Sharded renderings
+reassemble byte-identical to the whole text, the block parse core
+reproduces one serial parse's log, statistics, strict errors,
+quarantine and budget verdict for any block split, a cold run renders
+each event once straight into the parser and the sharded console cache
+layer, and a paper run through that pass reproduces the committed
 golden digests bit for bit.  The bugfix satellites ride along: LRU
 eviction, the coverage edge clamp, fused-record seam recovery and the
 half-up fleet rounding.
 """
 
 import dataclasses
+import itertools
 import json
 import os
 from pathlib import Path
@@ -30,23 +32,26 @@ from repro.cache.pipeline import (
     has_dataset,
     load_or_simulate,
 )
+from repro.chaos.injector import ChaosConfig, CorruptionInjector
 from repro.stream import (
     MANIFEST_NAME,
     ShardCorruption,
-    iter_shard_lines,
     iter_shard_payloads,
+    iter_shard_texts,
     read_manifest,
     reassemble_text,
     verify_shards,
     write_shards,
 )
+from repro.telemetry import console
 from repro.telemetry.console import ConsoleLogWriter
 from repro.telemetry.coverage import infer_outage_windows
-from repro.telemetry.parallel_parse import (
-    parse_lines_chunked,
-    parse_shards_parallel,
+from repro.telemetry.parallel_parse import parse_blocks
+from repro.telemetry.ingestion import (
+    IngestionDegraded,
+    IngestionError,
+    QuarantineSink,
 )
-from repro.telemetry.ingestion import IngestionError
 from repro.telemetry.parser import ConsoleLogParser
 
 _COLUMNS = ("time", "gpu", "etype", "structure", "job", "parent", "aux")
@@ -91,7 +96,7 @@ class TestShards:
         assert manifest.shards == ()
         assert (tmp_path / MANIFEST_NAME).exists()
         assert reassemble_text(tmp_path) == ""
-        assert list(iter_shard_lines(tmp_path)) == []
+        assert list(iter_shard_texts(tmp_path)) == []
 
     def test_single_line_shards(self, tmp_path):
         manifest = write_shards(
@@ -99,7 +104,7 @@ class TestShards:
         )
         assert [s.lines for s in manifest.shards] == [1, 1, 1]
         assert reassemble_text(tmp_path) == "a\nbb\nccc\n"
-        assert list(iter_shard_lines(tmp_path)) == ["a", "bb", "ccc"]
+        assert list(iter_shard_texts(tmp_path)) == ["a\n", "bb\n", "ccc\n"]
 
     def test_manifest_round_trip(self, tmp_path):
         written = write_shards(
@@ -130,9 +135,9 @@ class TestShards:
         victim.write_bytes(bytes(payload))
         assert verify_shards(tmp_path) == [manifest.shards[1].name]
         with pytest.raises(ShardCorruption):
-            list(iter_shard_lines(tmp_path))
+            list(iter_shard_texts(tmp_path))
 
-    def test_torn_final_shard_detected(self, tmp_path, smoke_dataset):
+    def test_torn_final_shard_detected(self, tmp_path):
         manifest = write_shards(
             [f"line {i}" for i in range(8)], tmp_path, max_lines_per_shard=4
         )
@@ -140,8 +145,7 @@ class TestShards:
         victim.write_bytes(victim.read_bytes()[:-3])
         with pytest.raises(ShardCorruption):
             reassemble_text(tmp_path)
-        with pytest.raises(ShardCorruption):
-            parse_shards_parallel(tmp_path, smoke_dataset.machine)
+        assert verify_shards(tmp_path) == [manifest.shards[-1].name]
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -154,8 +158,46 @@ class TestShards:
 
 
 # ---------------------------------------------------------------------------
-# Parse equivalence: chunked and manifest-driven vs the serial parser
+# Parse equivalence: the block parse core vs one serial parse
 # ---------------------------------------------------------------------------
+
+
+def _blocks(lines, size):
+    return [lines[i : i + size] for i in range(0, len(lines), size)]
+
+
+def _outcome(parse):
+    """``parse()``'s result, or the observable content of its error."""
+    try:
+        log, stats = parse()
+    except IngestionError as exc:
+        return ("strict", exc.line_no, exc.category, exc.line)
+    except IngestionDegraded as exc:
+        return ("degraded", exc.stats, exc.fraction, _columns(exc.log))
+    return ("ok", stats, _columns(log))
+
+
+def _columns(log):
+    return tuple(getattr(log, name).tobytes() for name in _COLUMNS)
+
+
+def _sink_state(sink):
+    if sink is None:
+        return None
+    return (
+        sink.total,
+        sink.counts,
+        sink.n_overflowed,
+        [(r.line_no, r.category, r.line) for r in sink.records],
+    )
+
+
+@pytest.fixture(scope="module")
+def corrupted_lines(console_lines):
+    """Chaos-corrupted real console lines (every line-level mode)."""
+    injector = CorruptionInjector(ChaosConfig.uniform(0.3), seed=5)
+    text = "\n".join(console_lines[:300]) + "\n"
+    return injector.corrupt_text(text).text.splitlines()
 
 
 class TestParseEquivalence:
@@ -163,30 +205,14 @@ class TestParseEquivalence:
         serial = ConsoleLogParser(smoke_dataset.machine).parse_lines(
             console_lines
         )
-        chunked = parse_lines_chunked(
-            iter(console_lines), smoke_dataset.machine, chunk_lines=1000
+        blocked = parse_blocks(
+            _blocks(console_lines, 1000), smoke_dataset.machine
         )
-        assert_logs_equal(serial[0], chunked[0])
-        assert serial[1] == chunked[1]
-
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_shard_parse_matches_serial(
-        self, tmp_path, smoke_dataset, console_lines, n_workers
-    ):
-        lines = console_lines[:6000]
-        write_shards(lines, tmp_path, max_lines_per_shard=1024)
-        serial = ConsoleLogParser(smoke_dataset.machine).parse_lines(lines)
-        sharded = parse_shards_parallel(
-            tmp_path,
-            smoke_dataset.machine,
-            n_workers=n_workers,
-            serial_threshold=0,
-        )
-        assert_logs_equal(serial[0], sharded[0])
-        assert serial[1] == sharded[1]
+        assert_logs_equal(serial[0], blocked[0])
+        assert serial[1] == blocked[1]
 
     @settings(
-        max_examples=25,
+        max_examples=60,
         deadline=None,
         suppress_health_check=[
             HealthCheck.too_slow,
@@ -195,19 +221,31 @@ class TestParseEquivalence:
     )
     @given(data=st.data())
     def test_property_shard_round_trip(
-        self, data, tmp_path_factory, smoke_dataset, console_lines
+        self,
+        data,
+        tmp_path_factory,
+        smoke_dataset,
+        console_lines,
+        gpu_record_lines,
+        corrupted_lines,
     ):
-        """Any line mix, any shard size: bytes and parse both identical.
+        """Any line mix, any block split: bytes and parse both identical.
 
-        Lines are drawn from real console records and printable
-        garbage; shard granularity spans the degenerate single-line
-        case.  The sharded parse must reproduce the serial parser's
-        log, statistics and quarantine verbatim, and the reassembled
-        bytes must equal the monolithic rendering.
+        Lines are drawn from real console records, chaos-corrupted
+        records, records fused or torn by a lost newline, and printable
+        garbage.  The stream is split into blocks at arbitrary seams
+        (empty and single-line blocks included) and parsed by the one
+        core under drawn strict/quarantine/budget settings; log rows,
+        statistics, the global line number of a strict error, the
+        quarantine records and the budget verdict must all equal one
+        serial ``parse_lines`` over the whole input.  Shards of the
+        same lines must reassemble to the whole rendering.
         """
-        pool = console_lines[:200]
+        a, b = gpu_record_lines
         line = st.one_of(
-            st.sampled_from(pool),
+            st.sampled_from(console_lines[:200]),
+            st.sampled_from(corrupted_lines),
+            st.sampled_from([a + b, a[:25] + b, b[:40]]),
             st.text(
                 alphabet=st.characters(
                     blacklist_categories=("Cs", "Cc"), max_codepoint=0x2FF
@@ -216,29 +254,57 @@ class TestParseEquivalence:
             ),
         )
         lines = data.draw(st.lists(line, max_size=60))
+        cuts = sorted(
+            data.draw(
+                st.lists(st.integers(0, len(lines)), max_size=6)
+            )
+        )
+        seams = [0, *cuts, len(lines)]
+        blocks = [lines[i:j] for i, j in zip(seams, seams[1:])]
+        strict = data.draw(st.booleans())
+        capacity = data.draw(st.none() | st.integers(0, 5))
+        budget = data.draw(st.none() | st.floats(0.0, 1.0))
+
+        def sink():
+            return None if capacity is None else QuarantineSink(capacity)
+
+        serial_sink, block_sink = sink(), sink()
+        machine = smoke_dataset.machine
+        serial = _outcome(
+            lambda: ConsoleLogParser(
+                machine,
+                strict=strict,
+                error_budget=budget,
+                quarantine=serial_sink,
+            ).parse_lines(lines)
+        )
+        blocked = _outcome(
+            lambda: parse_blocks(
+                blocks,
+                machine,
+                strict=strict,
+                error_budget=budget,
+                quarantine=block_sink,
+            )
+        )
+        assert blocked == serial
+        assert _sink_state(block_sink) == _sink_state(serial_sink)
+
         shard_size = data.draw(st.integers(min_value=1, max_value=50))
         directory = tmp_path_factory.mktemp("prop-shards")
-
         manifest = write_shards(
             lines, directory, max_lines_per_shard=shard_size
         )
         assert manifest.total_lines == len(lines)
-        expected_text = "\n".join(lines) + "\n" if lines else ""
+        expected_text = "".join(line + "\n" for line in lines)
         assert reassemble_text(directory) == expected_text
-
-        serial = ConsoleLogParser(smoke_dataset.machine).parse_lines(lines)
-        sharded = parse_shards_parallel(directory, smoke_dataset.machine)
-        assert_logs_equal(serial[0], sharded[0])
-        assert serial[1] == sharded[1]
 
     def test_chunked_strict_error_has_global_line_number(
         self, smoke_dataset, gpu_record_lines
     ):
         lines = [gpu_record_lines[0]] * 5 + ["garbage GPU XID zzz"]
         with pytest.raises(IngestionError) as excinfo:
-            parse_lines_chunked(
-                iter(lines), smoke_dataset.machine, chunk_lines=2, strict=True
-            )
+            parse_blocks(_blocks(lines, 2), smoke_dataset.machine, strict=True)
         assert excinfo.value.line_no == 6
 
 
@@ -293,33 +359,38 @@ class TestSeamRecovery:
         a, b = gpu_record_lines
         lines = [a, b, a + b, b, a]
         serial = ConsoleLogParser(smoke_dataset.machine).parse_lines(lines)
-        for chunk_lines in (1, 2, 3):
-            chunked = parse_lines_chunked(
-                iter(lines), smoke_dataset.machine, chunk_lines=chunk_lines
-            )
-            assert_logs_equal(serial[0], chunked[0])
-            assert serial[1] == chunked[1]
+        for size in (1, 2, 3):
+            blocked = parse_blocks(_blocks(lines, size), smoke_dataset.machine)
+            assert_logs_equal(serial[0], blocked[0])
+            assert serial[1] == blocked[1]
 
 
 # ---------------------------------------------------------------------------
-# Streamed simulation and the sharded console cache layer
+# The fused render → parse → shard pass and the sharded console layer
 # ---------------------------------------------------------------------------
 
 
 def _streamed_replica(dataset):
-    """The same simulation, reset to parse through the streamed path."""
-    return dataclasses.replace(
-        dataset, streaming=True, _console_text=None, _parsed=None
-    )
+    """The same simulation with its console round trip not yet run."""
+    return dataclasses.replace(dataset, _console_text=None, _parsed=None)
+
+
+@pytest.fixture()
+def small_windows(monkeypatch):
+    """Render in 2,000-row windows, so smoke-sized logs span several."""
+    monkeypatch.setattr(console, "RENDER_CHUNK_ROWS", 2_000)
 
 
 class TestStreamedSimulation:
-    def test_streamed_parse_bit_identical(self, smoke_dataset):
+    def test_streamed_parse_bit_identical(self, smoke_dataset, small_windows):
         streamed = _streamed_replica(smoke_dataset)
-        assert_logs_equal(
-            smoke_dataset.parsed_events, streamed.parsed_events
+        log, stats = ConsoleLogParser(smoke_dataset.machine).parse_text(
+            ConsoleLogWriter(smoke_dataset.machine).to_text(
+                smoke_dataset.events
+            )
         )
-        assert smoke_dataset.parse_stats == streamed.parse_stats
+        assert_logs_equal(log.sorted_by_time(), streamed.parsed_events)
+        assert stats == streamed.parse_stats
         # The whole point: the monolithic text never materialized.
         assert streamed._console_text is None
 
@@ -336,13 +407,14 @@ class TestShardedCacheLayer:
     def store(self, tmp_path):
         return ArtifactStore(tmp_path / "store")
 
-    def test_streaming_persist_round_trip(self, store, smoke_dataset):
-        persist_dataset(
-            store, smoke_dataset, streaming=True, shard_lines=10_000
-        )
+    def test_streaming_persist_round_trip(
+        self, store, smoke_dataset, small_windows
+    ):
+        persist_dataset(store, _streamed_replica(smoke_dataset))
         dkey = dataset_key(smoke_dataset.scenario)
         assert store.has(_layer_key(dkey, _CONSOLE_MANIFEST_LAYER))
         assert store.has(_layer_key(dkey, _console_shard_layer(0)))
+        assert store.has(_layer_key(dkey, _console_shard_layer(1)))
         assert not store.has(_layer_key(dkey, "console"))
         assert has_dataset(store, smoke_dataset.scenario)
 
@@ -354,34 +426,78 @@ class TestShardedCacheLayer:
         )
 
     def test_corrupt_shard_degrades_to_recompute(self, store, smoke_dataset):
-        persist_dataset(
-            store, smoke_dataset, streaming=True, shard_lines=10_000
-        )
+        persist_dataset(store, smoke_dataset)
         dkey = dataset_key(smoke_dataset.scenario)
         shard_key = _layer_key(dkey, _console_shard_layer(0))
         store.put(shard_key, "tampered\n", "text")  # valid artifact, wrong sha
         assert load_dataset(store, smoke_dataset.scenario) is None
 
-        dataset, warm = load_or_simulate(
-            smoke_dataset.scenario, store, streaming=True
-        )
+        dataset, warm = load_or_simulate(smoke_dataset.scenario, store)
         assert not warm
         assert dataset.console_text == smoke_dataset.console_text
 
-    def test_streamed_cache_key_matches_monolithic(self, store, smoke_dataset):
-        """Monolithic persist then streamed load: same key, same bytes."""
-        persist_dataset(store, smoke_dataset)
+    def test_cold_run_renders_each_row_once(
+        self, store, smoke_dataset, small_windows, monkeypatch
+    ):
+        """A cold ``load_or_simulate`` renders every event row exactly
+        once, parses and shards it in the same pass, and never holds
+        the whole log text."""
+        rendered = []
+        lines = ConsoleLogWriter.lines
+
+        def counting_lines(writer, events):
+            rendered.append(events.time)
+            return lines(writer, events)
+
+        monkeypatch.setattr(ConsoleLogWriter, "lines", counting_lines)
+        dataset, warm = load_or_simulate(smoke_dataset.scenario, store)
+        assert not warm
+        assert dataset._console_text is None
+        assert len(rendered) > 1
+        np.testing.assert_array_equal(
+            np.concatenate(rendered), dataset.events.time
+        )
+
+        dkey = dataset_key(smoke_dataset.scenario)
+        assert store.has(_layer_key(dkey, _CONSOLE_MANIFEST_LAYER))
+        assert store.has(_layer_key(dkey, _console_shard_layer(len(rendered) - 1)))
+        assert not store.has(_layer_key(dkey, "console"))
+        assert_logs_equal(dataset.parsed_events, smoke_dataset.parsed_events)
+        assert dataset.parse_stats == smoke_dataset.parse_stats
+
+    def test_parent_monolithic_layer_is_a_miss(self, store, smoke_dataset):
+        """A store persisted before the sharded layer was the only one
+        (one monolithic ``console`` text layer) loads as a miss and is
+        recomputed — so the layout change needs no epoch bump."""
+        dkey = dataset_key(smoke_dataset.scenario)
+        for layer, obj, kind in (
+            ("console", smoke_dataset.console_text, "text"),
+            ("parsed", (smoke_dataset.parsed_events, smoke_dataset.parse_stats), "pickle"),
+            ("nvsmi", smoke_dataset.nvsmi_table, "npz"),
+            ("jobsnap", smoke_dataset.jobsnap_records, "pickle"),
+            ("trace", smoke_dataset.trace, "pickle"),
+        ):
+            store.put(_layer_key(dkey, layer), obj, kind)
+        assert not has_dataset(store, smoke_dataset.scenario)
+        assert load_dataset(store, smoke_dataset.scenario) is None
+
+        _dataset, warm = load_or_simulate(smoke_dataset.scenario, store)
+        assert not warm
         cached = load_dataset(store, smoke_dataset.scenario)
         assert cached is not None
         assert cached.console_text == smoke_dataset.console_text
 
 
 class TestWriterShards:
-    def test_console_shards_match_to_text(self, tmp_path, smoke_dataset):
+    def test_console_shards_match_to_text(
+        self, tmp_path, smoke_dataset, small_windows
+    ):
         writer = ConsoleLogWriter(smoke_dataset.machine)
         events = smoke_dataset.injection.events
-        manifest = writer.write_shards(
-            events, tmp_path, max_lines_per_shard=7_000
+        manifest = write_shards(
+            itertools.chain.from_iterable(writer.windows(events)),
+            tmp_path,
+            max_lines_per_shard=7_000,
         )
         assert len(manifest.shards) >= 2
         assert reassemble_text(tmp_path) == writer.to_text(events)
@@ -501,22 +617,8 @@ class TestGridRounding:
 
 
 # ---------------------------------------------------------------------------
-# End to end: streamed sweeps and the golden paper run
+# End to end: the golden paper run
 # ---------------------------------------------------------------------------
-
-
-class TestStreamedSweep:
-    def test_streamed_table_matches_monolithic(self, tmp_path):
-        from repro.sweep import SweepSpec, run_sweep
-
-        spec = SweepSpec(
-            name="stream-eq", base="smoke", days=2.0, scales=(1.0, 2.0)
-        )
-        mono = run_sweep(spec, ArtifactStore(tmp_path / "mono"))
-        streamed = run_sweep(
-            spec, ArtifactStore(tmp_path / "streamed"), streaming=True
-        )
-        assert streamed.table_sha256 == mono.table_sha256
 
 
 class TestStreamedGolden:

@@ -8,7 +8,8 @@ from repro.errors.xid import ErrorType
 from repro.gpu.fleet import GPUFleet
 from repro.gpu.k20x import MemoryStructure
 from repro.rng import RngTree
-from repro.telemetry.console import ConsoleLogWriter, render_event_line
+from repro.telemetry import console
+from repro.telemetry.console import ConsoleLogWriter
 from repro.telemetry.jobsnap import JobSnapshotFramework
 from repro.telemetry.nvsmi import NvidiaSmi
 from repro.telemetry.parser import ConsoleLogParser
@@ -16,6 +17,7 @@ from repro.telemetry.sec import SEC_RULES, UnmatchedLine, classify_line
 from repro.topology.machine import TitanMachine
 from repro.topology.thermal import ThermalModel
 from repro.workload.jobs import JobTraceBuilder
+from tests.console_reference import reference_lines, render_event_line
 
 
 @pytest.fixture(scope="module")
@@ -138,12 +140,16 @@ class TestRoundTrip:
         # render_event_line reference, including the SBE skip.
         log = self.build_log(machine)
         writer = ConsoleLogWriter(machine)
-        assert list(writer.lines(log)) == list(writer.lines_reference(log))
+        assert list(writer.lines(log)) == list(reference_lines(machine, log))
 
-    def test_fast_lines_match_reference_at_scale(self, smoke_dataset):
+    def test_fast_lines_match_reference_at_scale(self, smoke_dataset, monkeypatch):
+        # Small render windows: the seams between them must not show.
+        monkeypatch.setattr(console, "RENDER_CHUNK_ROWS", 4_096)
         writer = ConsoleLogWriter(smoke_dataset.machine)
         events = smoke_dataset.events
-        assert list(writer.lines(events)) == list(writer.lines_reference(events))
+        assert writer.to_text(events) == "".join(
+            line + "\n" for line in reference_lines(writer.machine, events)
+        )
 
 
 class TestNvsmi:
