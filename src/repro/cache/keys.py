@@ -59,7 +59,7 @@ PIPELINE_EPOCH: int = 1
 #:     from repro.lint.flow import surface_digest
 #:     ctxs = [build_context(p) for p in iter_python_files(['src'])]
 #:     print(surface_digest(build_project(ctxs)))"
-PIPELINE_SURFACE: str = "6e39d4faa7ba4e2d"
+PIPELINE_SURFACE: str = "391902a74eabc2c2"
 
 
 def canonical_encode(obj: Any) -> Any:

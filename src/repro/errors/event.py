@@ -218,10 +218,9 @@ class EventLogBuilder:
     builder's peak footprint is one chunk of lists plus the (much
     denser) numpy chunks — the cascade fan-out at machine scale never
     holds millions of boxed Python ints.  Spooling is invisible to
-    callers: row indices returned by :meth:`add`/:meth:`append_raw`
-    stay global, ``len`` counts all rows, and :meth:`freeze`
-    concatenates chunks in order, producing arrays bit-identical to an
-    unspooled build.
+    callers: row indices returned by :meth:`add` stay global, ``len``
+    counts all rows, and :meth:`freeze` concatenates chunks in order,
+    producing arrays bit-identical to an unspooled build.
     """
 
     def __init__(self, *, spool_rows: int | None = None) -> None:
@@ -247,8 +246,6 @@ class EventLogBuilder:
         )
         self._chunks.append(chunk)
         self._frozen_rows += len(chunk)
-        # Clear in place: raw_columns() callers hold bound references
-        # to these exact list objects.
         for vals in self._rows.values():
             vals.clear()
 
@@ -284,49 +281,6 @@ class EventLogBuilder:
         index = self._frozen_rows + len(self._rows["time"]) - 1
         self._maybe_spool()
         return index
-
-    def append_raw(
-        self,
-        time: float,
-        gpu: int,
-        etype_code: int,
-        structure_code: int = -1,
-        job: int = -1,
-        aux: int = -1,
-        parent: int = -1,
-    ) -> int:
-        """Trusted-type fast append (parser hot path).
-
-        Like :meth:`add` but takes the already-encoded column values —
-        no enum/structure lookups, no defensive conversions.  Callers
-        own the invariants (``etype_code``/``structure_code`` valid,
-        ints actually ints); the telemetry parser's fast path is the
-        intended user.
-        """
-        rows = self._rows
-        rows["time"].append(time)
-        rows["gpu"].append(gpu)
-        rows["etype"].append(etype_code)
-        rows["structure"].append(structure_code)
-        rows["job"].append(job)
-        rows["parent"].append(parent)
-        rows["aux"].append(aux)
-        index = self._frozen_rows + len(rows["time"]) - 1
-        self._maybe_spool()
-        return index
-
-    def raw_columns(self) -> dict[str, list]:
-        """The live column lists, for trusted bulk appenders.
-
-        The parser's hot loop binds each column's ``append`` once and
-        pushes already-encoded values directly, skipping the per-call
-        overhead of :meth:`append_raw`.  Callers own the invariant that
-        every column receives the same number of values.  Raw appends
-        bypass the spool check — streaming consumers bound memory by
-        chunking their *input* instead (see
-        :func:`repro.telemetry.parallel_parse.parse_blocks`).
-        """
-        return self._rows
 
     def add_children(
         self,

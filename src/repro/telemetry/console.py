@@ -18,10 +18,13 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Iterator
+from operator import add
+
+import numpy as np
 
 from repro.errors.event import STRUCTURE_CODES, EventLog
 from repro.errors.xid import ErrorType
-from repro.telemetry.timecodec import format_timestamps
+from repro.telemetry.timecodec import _stamp_matrix
 from repro.topology.machine import TitanMachine
 
 __all__ = ["ConsoleLogWriter", "RENDER_CHUNK_ROWS", "text_windows"]
@@ -32,6 +35,11 @@ __all__ = ["ConsoleLogWriter", "RENDER_CHUNK_ROWS", "text_windows"]
 #: shard.  Purely a memory knob — the rendered bytes are identical at
 #: any value.
 RENDER_CHUNK_ROWS: int = 131_072
+
+#: Rows the writer renders, and the parser decodes, as one set of
+#: columns: bounds the transient numpy working set inside a window.
+#: Output is identical at any value.
+_SLICE_ROWS: int = 16_384
 
 #: Short console phrasing per type (the SEC rules in sec.py must match).
 _PHRASES: dict[ErrorType, str] = {
@@ -76,6 +84,38 @@ _STRUCT_NAME_BY_CODE: list[str] = [
 ]
 
 
+def _bodies(
+    etype: np.ndarray, structure: np.ndarray, aux: np.ndarray, job: np.ndarray
+) -> tuple[list[str], np.ndarray]:
+    """Each distinct line body formatted once, and each row's index
+    into that list.
+
+    The body's fields factorize into one int64 key (a page renders only
+    under a structure, a job only when non-negative); ``np.unique`` on
+    that key avoids the void-dtype sort a row-wise unique would take.
+    """
+    structure = structure.astype(np.int64)
+    aux = np.where((structure >= 0) & (aux >= 0), aux, -1)
+    job = np.maximum(job, -1)
+    key = etype.astype(np.int64) * (len(_STRUCT_NAME_BY_CODE) + 1) + structure + 1
+    for column in (aux, job):
+        _, code = np.unique(column, return_inverse=True)
+        key = key * (code.max(initial=0) + 1) + code
+    _, first, which = np.unique(key, return_index=True, return_inverse=True)
+    bodies = []
+    for ecode, scode, page, jobid in zip(
+        etype[first].tolist(), structure[first].tolist(),
+        aux[first].tolist(), job[first].tolist(),
+    ):
+        body = _BODY_HEAD_BY_CODE[ecode]
+        if scode >= 0:
+            body = f"{body} in {_STRUCT_NAME_BY_CODE[scode]}"
+            if page >= 0:
+                body = f"{body} page 0x{page:06x}"
+        bodies.append(f"{body} [job={jobid}]" if jobid >= 0 else body)
+    return bodies, which
+
+
 def text_windows(text: str) -> Iterator[list[str]]:
     """The lines of ``text`` in blocks of :data:`RENDER_CHUNK_ROWS` lines.
 
@@ -91,46 +131,52 @@ def text_windows(text: str) -> Iterator[list[str]]:
 class ConsoleLogWriter:
     """Streams an :class:`EventLog` out as Titan console-log text.
 
-    The hot path renders from precomputed tables (body heads per etype
-    code, structure names per code, the machine-wide cname table, and
-    the fixed-format timestamp codec); the tests pin it byte for byte
+    The render is columnar (body heads per etype code, structure names
+    per code, the machine-wide cname table as a byte matrix, and the
+    timestamp codec's digit matrix); the tests pin it byte for byte
     against a per-row ``strftime`` reference rendering.
     """
 
     def __init__(self, machine: TitanMachine) -> None:
         self.machine = machine
+        table = [f" {name} " for name in machine.cname_table()]
+        width = max(map(len, table))
+        self._names = np.frombuffer(
+            "".join(name.ljust(width, "\0") for name in table).encode("ascii"),
+            dtype=np.uint8,
+        ).reshape(len(table), width)
 
-    def lines(self, events: EventLog) -> Iterator[str]:
-        """Yield one log line per loggable event, in log order."""
-        heads = _BODY_HEAD_BY_CODE
-        struct_names = _STRUCT_NAME_BY_CODE
-        cnames = self.machine.cname_table()
-        # All stamps render in one vectorized pass (SBE rows included —
-        # skipping them afterwards is cheaper than masking first).
-        stamps = format_timestamps(events.time)
-        for stamp, gpu, ecode, scode, job, aux in zip(
-            stamps,
-            events.gpu.tolist(),
-            events.etype.tolist(),
-            events.structure.tolist(),
-            events.job.tolist(),
-            events.aux.tolist(),
-        ):
-            if ecode == _SBE_CODE:
-                continue
-            body = heads[ecode]
-            if scode >= 0:
-                if aux >= 0:
-                    body = f"{body} in {struct_names[scode]} page 0x{aux:06x}"
-                else:
-                    body = f"{body} in {struct_names[scode]}"
-            if job >= 0:
-                yield f"{stamp} {cnames[gpu]} {body} [job={job}]"
-            else:
-                yield f"{stamp} {cnames[gpu]} {body}"
+    def render(self, events: EventLog) -> list[str]:
+        """One console line per loggable event (SBE rows are skipped),
+        in log order.
+
+        Renders in :data:`_SLICE_ROWS`-row slices.  Each line's head —
+        stamp and cname with its separators — is one row of a byte
+        matrix (the digit matrix of the timestamp codec beside the
+        NUL-padded cname table, whose trailing NULs the ``S`` view
+        drops); each distinct ``(etype, structure, page, job)`` body is
+        formatted once; the two are joined by one C-level string add.
+        No per-row Python containers.
+        """
+        events = events.select(events.etype != _SBE_CODE)
+        out: list[str] = []
+        for start in range(0, len(events), _SLICE_ROWS):
+            rows = slice(start, start + _SLICE_ROWS)
+            stamps = _stamp_matrix(events.time[rows])
+            heads = np.concatenate([stamps, self._names[events.gpu[rows]]], axis=1)
+            bodies, which = _bodies(
+                events.etype[rows], events.structure[rows],
+                events.aux[rows], events.job[rows],
+            )
+            out += map(
+                add,
+                map(bytes.decode, heads.view(f"S{heads.shape[1]}").ravel().tolist()),
+                map(bodies.__getitem__, which.tolist()),
+            )
+        return out
 
     def windows(self, events: EventLog) -> Iterator[list[str]]:
-        """The :meth:`lines` sequence as one list per
+        """The :meth:`render` lines as one list per
         :data:`RENDER_CHUNK_ROWS` rows.
 
         Only one window's timestamps and lines are resident at a time,
@@ -146,7 +192,7 @@ class ConsoleLogWriter:
                     for f in dataclasses.fields(events)
                 }
             )
-            lines = list(self.lines(window))
+            lines = self.render(window)
             if lines:
                 yield lines
 

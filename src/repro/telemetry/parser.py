@@ -28,6 +28,16 @@ Every input line lands in exactly one primary counter
 (``parsed_events``, ``non_gpu_lines``, ``malformed_lines`` or
 ``unknown_xid_lines``); :attr:`ParseStats.accounted` makes the
 invariant checkable and the property tests enforce it under fuzz.
+
+Input is decoded in slices of at most ``console._SLICE_ROWS`` lines,
+as columns: stamps as one digit matrix, cnames through the topology's
+canonical table, each distinct body once.  A row the decode does not
+*claim* (any field short of canonical writer output) goes, in line
+order, to the per-line regex path, which is the semantics reference —
+so the log, statistics, strict errors, quarantine order and budget
+verdict are those of a per-line parse.  The
+``telemetry.parse_fallback`` :mod:`repro.perf` counter reports how many
+rows took the per-line path.
 """
 
 from __future__ import annotations
@@ -36,24 +46,23 @@ import datetime as _dt
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import count, islice, repeat
+from operator import itemgetter
 
+import numpy as np
+
+from repro import perf
 from repro.errors.event import EventLog, EventLogBuilder, STRUCTURE_CODES
 from repro.errors.xid import ErrorType
 from repro.gpu.k20x import MemoryStructure
+from repro.telemetry import console
 from repro.telemetry.ingestion import (
     IngestionDegraded,
     IngestionError,
     QuarantineSink,
 )
 from repro.telemetry.sec import SEC_RULES, SecRule, UnmatchedLine, classify_line
-from repro.telemetry.timecodec import (
-    _2D_VALUE,
-    _DAY_US_OF_DATE,
-    _SECONDS_PER_HOUR,
-    _SECONDS_PER_MINUTE,
-    _US_PER_SECOND,
-    parse_timestamp,
-)
+from repro.telemetry.timecodec import _day_us
 from repro.topology.machine import TitanMachine
 from repro.units import datetime_to_timestamp
 
@@ -84,27 +93,44 @@ _MAX_INT_FIELD = 2**62
 #: ``%06x`` — lowercase hex, exactly what ``_STRUCT_RE`` accepts).
 _HEX_LOWER = "0123456789abcdef"
 
-#: Lazily built fast-path table: body-head string → etype code, for
-#: every constant head the writer can emit.  The map is derived by
-#: running :func:`classify_line` on each head, so the fast path
-#: classifies exactly as the catalog-ordered slow path does; any line
-#: that is not byte-for-byte canonical writer output — corruption,
-#: splices, unknown XIDs, non-GPU chatter, non-canonical cnames —
-#: falls through to the unchanged slow path, which remains the
-#: semantics reference.
-_FAST_HEADS: dict[str, int] | None = None
+#: Fixed-width head of a canonical line: the 26-char stamp, a space
+#: and an 11-char cname field.
+_HEAD_WIDTH = 38
+_HEAD = itemgetter(slice(0, _HEAD_WIDTH))
+#: A line's cname field (a 10-char cname and its separator, or an
+#: 11-char cname) and its body field (which then starts on the separator
+#: after an 11-char cname).
+_CNAME = itemgetter(slice(27, 38))
+_BODY = itemgetter(slice(38, None))
+#: Head columns that hold stamp digits, and those that hold the fixed
+#: separators ``--T::.`` plus the space after the stamp.
+_DIGIT_COLS = np.array(
+    [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20, 21, 22, 23, 24, 25]
+)
+_SEP_COLS = np.array([4, 7, 10, 13, 16, 19, 26])
+_SEPS = np.frombuffer(b"--T::. ", dtype=np.uint8)
+#: Largest |µs| total whose int64 → float64 division is exact.
+_MAX_EXACT_US = 2**53
+#: Day offset of an invalid date: far beyond _MAX_EXACT_US, so its row
+#: is never claimed.
+_NOT_A_DAY = 2**62
+
+#: Body head string → etype code, for every constant head the writer
+#: can emit.  The map is derived by running :func:`classify_line` on
+#: each head, so the columnar decode classifies exactly as the
+#: catalog-ordered per-line path does.
+_ETYPE_BY_HEAD: dict[str, int] = {
+    head: classify_line(head, SEC_RULES).code
+    for head in console._BODY_HEAD_BY_CODE.values()
+}
 
 
-def _fast_heads() -> dict[str, int]:
-    global _FAST_HEADS
-    if _FAST_HEADS is None:
-        from repro.telemetry.console import _BODY_HEAD_BY_CODE
-
-        _FAST_HEADS = {
-            head: classify_line(head, SEC_RULES).code
-            for head in _BODY_HEAD_BY_CODE.values()
-        }
-    return _FAST_HEADS
+def _day_us_of(date: int) -> int:
+    """µs offset of a ``YYYYMMDD`` date, or :data:`_NOT_A_DAY`."""
+    try:
+        return _day_us(f"{date // 10000:04d}-{date // 100 % 100:02d}-{date % 100:02d}")
+    except ValueError:
+        return _NOT_A_DAY
 
 
 @dataclass
@@ -169,14 +195,13 @@ class ConsoleLogParser:
     quarantine:
         Optional sink receiving every rejected line.
     fast:
-        Decode pristine writer-format lines through the fast path
-        (manual field slicing + table lookups + the fixed-format
-        timestamp codec).  Any line that is not byte-for-byte canonical
-        writer output takes the original slow path, so output is
-        identical either way; ``fast=False`` forces the slow path
-        everywhere and exists for the equivalence tests.  The fast path
-        only engages for the default rule catalog — custom ``rules``
-        always classify through the slow path.
+        Decode each slice of lines as columns first (see the module
+        docstring).  Any line that is not byte-for-byte canonical
+        writer output takes the per-line regex path, so output is
+        identical either way; ``fast=False`` sends every line down the
+        per-line path and exists for the equivalence tests.  The
+        columnar decode only engages for the default rule catalog —
+        custom ``rules`` always classify line by line.
     """
 
     def __init__(
@@ -199,10 +224,9 @@ class ConsoleLogParser:
         self.error_budget = error_budget
         self.quarantine = quarantine
         self.fast = bool(fast)
-        if self.fast and rules is SEC_RULES:
-            self._etype_by_head = _fast_heads()
-        else:
-            self._etype_by_head = {}
+        self._etype_by_head = (
+            _ETYPE_BY_HEAD if self.fast and rules is SEC_RULES else {}
+        )
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -233,19 +257,13 @@ class ConsoleLogParser:
         errors, quarantine records) so chunked parsing of a large log
         attributes rejects to their true position in the whole stream.
         """
-        builder = EventLogBuilder()
         stats = ParseStats()
-        if self._etype_by_head:
-            self._parse_fast(lines, first_line_no, builder, stats)
-        else:
-            parse_one = self._parse_one
-            for line_no, raw in enumerate(lines, start=first_line_no):
-                line = raw.rstrip("\n")
-                if not line.strip():
-                    continue
-                stats.total_lines += 1
-                parse_one(builder, stats, line_no, line)
-        log = builder.freeze()
+        logs: list[EventLog] = []
+        rows = iter(lines)
+        while chunk := list(islice(rows, console._SLICE_ROWS)):
+            logs.append(self._parse_slice(chunk, first_line_no, stats))
+            first_line_no += len(chunk)
+        log = EventLog.concatenate(logs)
         if (
             self.error_budget is not None
             and stats.corrupt_fraction > self.error_budget
@@ -258,157 +276,144 @@ class ConsoleLogParser:
             )
         return log, stats
 
-    def _parse_fast(
-        self,
-        lines: Iterable[str],
-        first_line_no: int,
-        builder: EventLogBuilder,
-        stats: ParseStats,
-    ) -> None:
-        """Hot loop: decode canonical writer-format lines by slicing.
+    def _parse_slice(
+        self, lines: list[str], first_line_no: int, stats: ParseStats
+    ) -> EventLog:
+        """Parse one slice: columnar decode first, then the per-line path.
 
-        A line is *claimed* by the fast path only when every field
-        decodes exactly as the canonical writer emits it: a codec-valid
-        26-char stamp at the front, single-space separators, a cname in
-        the topology's canonical table, a known constant body head,
-        canonical clause order (``in <structure>``, ``page 0x<hex>``,
-        trailing ``[job=N]``), a known structure name, lowercase hex
-        page digits and decimal job digits.  On *any* doubt the whole
-        line goes to :meth:`_parse_one` — the unchanged semantics
-        reference — so the resulting log and statistics are identical
-        to a slow-path-only parse, line for line.
-
-        Claimed lines append through pre-bound column ``append``s; the
-        local ``total``/``parsed`` tallies flush into ``stats`` once at
-        the end (or on a strict-mode raise) instead of per line.
+        Rows :meth:`_decode` claims become events directly; every other
+        row goes, in line order, to :meth:`_parse_one` (the semantics
+        reference), and the two row sets merge back into line order.
         """
-        etype_of = self._etype_by_head
+        if self._etype_by_head:
+            ok, log = self._decode(lines)
+            claimed = np.flatnonzero(ok)
+            stats.total_lines += len(claimed)
+            stats.parsed_events += len(claimed)
+            rest = np.flatnonzero(~ok).tolist()
+            perf.count("telemetry.parse_fallback", len(rest))
+        else:
+            claimed, log = np.empty(0, np.int64), EventLog.empty()
+            rest = range(len(lines))
+        builder = EventLogBuilder()
+        owner: list[int] = []  # source row of each per-line event
+        for i in rest:
+            line = lines[i].rstrip("\n")
+            if line.strip():
+                stats.total_lines += 1
+                self._parse_one(builder, stats, first_line_no + i, line)
+                owner.extend(repeat(i, len(builder) - len(owner)))
+        if not owner:
+            return log
+        order = np.argsort(np.concatenate([claimed, owner]), kind="stable")
+        return EventLog.concatenate([log, builder.freeze()]).select(order)
+
+    def _decode(self, lines: list[str]) -> tuple[np.ndarray, EventLog]:
+        """Columnar decode: a mask of the rows that are canonical writer
+        output, and their events.
+
+        The fixed-width heads (stamp, separator, cname field) form one
+        uint8 matrix whose digits and separators are checked and
+        decoded in numpy; each distinct date goes through the codec's
+        per-day memo once.  cnames are looked up in the topology's
+        canonical table and each distinct body is decoded once by
+        :meth:`_decode_body`.  A row is claimed only when every field
+        is canonical and its µs total is at most 2**53 in magnitude,
+        where numpy's int64 → float64 division equals Python's exact
+        ``int / int``.  Per-row work is C-level ``map``s over the line
+        strings — no per-row tuples or lists for the cyclic GC to trace.
+        """
+        n = len(lines)
+        heads = "".join(map(_HEAD, lines))
+        if len(heads) != n * _HEAD_WIDTH:
+            # Short lines: pad with NUL, which no field accepts.
+            heads = "".join(
+                map(str.ljust, map(_HEAD, lines), repeat(_HEAD_WIDTH), repeat("\0"))
+            )
+        # One byte per char: non-Latin-1 chars become "?", never a digit.
+        m = np.frombuffer(heads.encode("latin-1", "replace"), np.uint8)
+        m = m.reshape(n, _HEAD_WIDTH)
+        digits = m[:, _DIGIT_COLS] - ord("0")  # non-digits wrap to >= 10
+        ok = (digits < 10).all(axis=1) & (m[:, _SEP_COLS] == _SEPS).all(axis=1)
+
+        # A 10-char cname's 11-char field ends in its separator, which
+        # rstrip drops; the body field then starts one column early, on
+        # the separator of an 11-char cname, so a row is canonical only
+        # when the two agree.
+        names = map(str.rstrip, map(_CNAME, lines), repeat(" "))
         gpu_of = self.machine.gpu_index_map()
-        scode_of = _STRUCT_CODE_BY_NAME
-        parse_ts = parse_timestamp
-        parse_one = self._parse_one
-        hex_lower = _HEX_LOWER
-        # Inlined stamp decode: the codec's own memo/value tables. Any
-        # miss (new date, non-ASCII digits, out-of-range field) falls
-        # back to parse_timestamp, which owns validation and the memo.
-        day_us_of = _DAY_US_OF_DATE
-        v2 = _2D_VALUE
-        sph = _SECONDS_PER_HOUR
-        spm = _SECONDS_PER_MINUTE
-        ups = _US_PER_SECOND
-        rows = builder.raw_columns()
-        t_app = rows["time"].append
-        g_app = rows["gpu"].append
-        e_app = rows["etype"].append
-        s_app = rows["structure"].append
-        j_app = rows["job"].append
-        p_app = rows["parent"].append
-        a_app = rows["aux"].append
-        total = 0
-        parsed = 0
-        try:
-            for line_no, raw in enumerate(lines, start=first_line_no):
-                line = raw.rstrip("\n")
-                if not line.strip():
-                    continue
-                total += 1
-                # Shortest canonical line: 26-char stamp + space + a
-                # 10-char cname + space + one-char body = 39 chars.
-                if len(line) > 38 and line[26] == " " and line[27] == "c":
-                    sp = line.find(" ", 28)
-                    gpu = gpu_of.get(line[27:sp]) if sp > 0 else None
-                    if gpu is not None:
-                        body = line[sp + 1 :]
-                        ok = True
-                        job = -1
-                        if body.endswith("]"):
-                            j = body.rfind(" [job=", 0, -1)
-                            jd = body[j + 6 : -1] if j >= 0 else ""
-                            # isdecimal == \d (Nd), so int() always
-                            # accepts; 18 digits can't overflow int64.
-                            if jd and len(jd) <= 18 and jd.isdecimal():
-                                job = int(jd)
-                                body = body[:j]
-                            else:
-                                ok = False
-                        scode = -1
-                        aux = -1
-                        if ok:
-                            i = body.find(" in ")
-                            if i >= 0:
-                                head = body[:i]
-                                rest = body[i + 4 :]
-                                p = rest.find(" page 0x")
-                                if p >= 0:
-                                    pd = rest[p + 8 :]
-                                    # strip() leaves "" iff every char
-                                    # is lowercase hex; 15 digits keep
-                                    # the value below the int64 guard.
-                                    if (
-                                        pd
-                                        and len(pd) <= 15
-                                        and not pd.strip(hex_lower)
-                                    ):
-                                        aux = int(pd, 16)
-                                        rest = rest[:p]
-                                    else:
-                                        ok = False
-                                if ok:
-                                    sc = scode_of.get(rest)
-                                    if sc is None:
-                                        ok = False
-                                    else:
-                                        scode = sc
-                            else:
-                                head = body
-                        if ok:
-                            ecode = etype_of.get(head)
-                            if ecode is not None:
-                                when = None
-                                day_us = day_us_of.get(line[:10])
-                                if (
-                                    day_us is not None
-                                    and line[10] == "T"
-                                    and line[13] == ":"
-                                    and line[16] == ":"
-                                    and line[19] == "."
-                                ):
-                                    h = v2.get(line[11:13])
-                                    m = v2.get(line[14:16])
-                                    s = v2.get(line[17:19])
-                                    if (
-                                        h is not None
-                                        and h < 24
-                                        and m is not None
-                                        and m < 60
-                                        and s is not None
-                                        and s < 60
-                                        and line[20:26].isdigit()
-                                    ):
-                                        when = (
-                                            day_us
-                                            + (h * sph + m * spm + s) * ups
-                                            + int(line[20:26])
-                                        ) / ups
-                                if when is None:
-                                    try:
-                                        when = parse_ts(line[:26])
-                                    except ValueError:
-                                        when = None
-                                if when is not None:
-                                    t_app(when)
-                                    g_app(gpu)
-                                    e_app(ecode)
-                                    s_app(scode)
-                                    j_app(job)
-                                    p_app(-1)
-                                    a_app(aux)
-                                    parsed += 1
-                                    continue
-                parse_one(builder, stats, line_no, line)
-        finally:
-            stats.total_lines += total
-            stats.parsed_events += parsed
+        gpu = np.fromiter(map(gpu_of.get, names, repeat(-1)), np.int64, n)
+        index: dict[str, int] = {}
+        code = np.fromiter(
+            map(index.setdefault, map(_BODY, lines), count()), np.int64, n
+        )
+        fields = np.full((n, 5), -1, dtype=np.int64)  # etype, structure, job, aux, wide
+        for body, k in index.items():
+            wide = body[:1] == " "
+            decoded = self._decode_body(body[1:] if wide else body)
+            if decoded is not None:
+                fields[k] = (*decoded, wide)
+        row_fields = fields[code]
+        ok &= (row_fields[:, 0] >= 0) & (gpu >= 0)
+        ok &= row_fields[:, 4] == (m[:, 37] != ord(" "))
+
+        pair = digits[:, 0::2].astype(np.int64) * 10 + digits[:, 1::2]
+        date = ((pair[:, 0] * 100 + pair[:, 1]) * 100 + pair[:, 2]) * 100 + pair[:, 3]
+        hour, minute, second = pair[:, 4], pair[:, 5], pair[:, 6]
+        ok &= (hour < 24) & (minute < 60) & (second < 60)
+        days, inverse = np.unique(date[ok], return_inverse=True)
+        day_us = np.full(n, _NOT_A_DAY, dtype=np.int64)
+        day_us[ok] = np.array([_day_us_of(d) for d in days.tolist()])[inverse]
+        us = (pair[:, 7] * 100 + pair[:, 8]) * 100 + pair[:, 9]
+        total_us = day_us + ((hour * 60 + minute) * 60 + second) * 1_000_000 + us
+        ok &= np.abs(total_us) <= _MAX_EXACT_US
+
+        rows = np.flatnonzero(ok)
+        etype, structure, job, aux, _ = row_fields[rows].T
+        log = EventLog.from_arrays(
+            time=total_us[rows] / 1_000_000,
+            gpu=gpu[rows],
+            etype=etype,
+            structure=structure,
+            job=job,
+            aux=aux,
+        )
+        return ok, log
+
+    def _decode_body(self, body: str) -> tuple[int, int, int, int] | None:
+        """``(etype, structure, job, aux)`` codes of a line body, or None
+        unless it is byte-for-byte canonical writer output: a known
+        constant head, then optionally ``in <structure>`` with an
+        optional ``page 0x<lowercase hex>``, then an optional trailing
+        ``[job=<decimal>]``."""
+        job = -1
+        if body.endswith("]"):
+            j = body.rfind(" [job=", 0, -1)
+            digits = body[j + 6 : -1] if j >= 0 else ""
+            # isdecimal == \d (Nd), so int() always accepts; 18 digits
+            # can't overflow int64.
+            if not (digits and len(digits) <= 18 and digits.isdecimal()):
+                return None
+            job = int(digits)
+            body = body[:j]
+        structure = aux = -1
+        head, found, rest = body.partition(" in ")
+        if found:
+            rest, found, page = rest.partition(" page 0x")
+            if found:
+                # strip() leaves "" iff every char is lowercase hex; 15
+                # digits keep the value below the int64 guard.
+                if not page or len(page) > 15 or page.strip(_HEX_LOWER):
+                    return None
+                aux = int(page, 16)
+            code = _STRUCT_CODE_BY_NAME.get(rest)
+            if code is None:
+                return None
+            structure = code
+        etype = self._etype_by_head.get(head)
+        if etype is None:
+            return None
+        return etype, structure, job, aux
 
     def _parse_one(
         self,

@@ -22,8 +22,9 @@ hand-rolled codec for exactly that format:
 
 Both directions memoize the calendar work per *day*: the date prefix
 (``YYYY-MM-DD``) is computed once per distinct day and reused for every
-stamp on that day, so the per-line cost collapses to integer slicing
-and arithmetic.  Microsecond rounding on the formatting side replicates
+stamp on that day.  The vectorized side writes whole arrays of stamps
+as one digit matrix; the console parser decodes its stamps the same
+way, as columns, and takes only the per-day memo from here.  Microsecond rounding on the formatting side replicates
 ``datetime.timedelta(seconds=ts)`` exactly (``math.modf`` + round-half-
 even); the parsing side uses pure integer arithmetic and one final
 division, matching ``timedelta.total_seconds()`` bit for bit.  The
@@ -71,14 +72,10 @@ _DATE_OF_DAY: dict[int, str] = {}
 _DAY_US_OF_DATE: dict[str, int] = {}
 _MEMO_LIMIT = 16_384
 
-#: Rendered two-digit fields (hours, minutes, seconds are all < 60).
-_2D_TEXT: tuple[str, ...] = tuple(f"{i:02d}" for i in range(60))
-
-#: Two-digit ASCII field → value.  ``parse_timestamp`` decodes hour,
-#: minute and second through this table; a miss falls back to the
-#: ``isdigit`` + ``int`` path (which additionally admits the non-ASCII
-#: decimal digits ``strptime``'s ``\d`` accepts).
-_2D_VALUE: dict[str, int] = {f"{i:02d}": i for i in range(100)}
+#: ASCII digit pairs ``00`` … ``99``, one row per value.
+_PAIRS = np.frombuffer(
+    "".join(f"{i:02d}" for i in range(100)).encode("ascii"), dtype=np.uint8
+).reshape(100, 2)
 
 
 def _total_microseconds(ts: float) -> int:
@@ -114,20 +111,18 @@ def format_timestamp(ts: float) -> str:
     return f"{_date_of_day(day)}T{hour:02d}:{minute:02d}:{second:02d}.{us:06d}"
 
 
-def format_timestamps(times: np.ndarray | Iterable[float]) -> list[str]:
-    """Vectorized :func:`format_timestamp` over an array of timestamps.
+def _stamp_matrix(times: np.ndarray | Iterable[float]) -> np.ndarray:
+    """The stamps of ``times`` as one ``(n, 26)`` uint8 ASCII matrix.
 
-    Byte-identical, element for element, to the scalar codec in a loop:
-    the µs normalization maps ``math.modf`` + ``round`` (half-even) to
-    ``np.modf`` + ``np.rint`` — the same IEEE-754 operations — and the
-    divmod cascade runs once per *array* instead of once per stamp.
-    Timestamps must stay within int64 µs range (±292k years — every
-    simulated stream qualifies); the scalar codec has no such bound.
+    Byte-identical, row for row, to :func:`format_timestamp`: the µs
+    normalization maps ``math.modf`` + ``round`` (half-even) to
+    ``np.modf`` + ``np.rint`` — the same IEEE-754 operations.  Each
+    distinct day's date is formatted once; clock fields are written as
+    two-digit pairs.  Timestamps must stay within int64 µs range and
+    render four-digit years (1000–9999, as every simulated stream
+    does); the scalar codec has no such bound.
     """
-    arr = np.asarray(times, dtype=np.float64)
-    if arr.size == 0:
-        return []
-    frac, whole = np.modf(arr)
+    frac, whole = np.modf(np.asarray(times, dtype=np.float64))
     total_us = whole.astype(np.int64) * _US_PER_SECOND + np.rint(
         frac * 1e6
     ).astype(np.int64)
@@ -135,22 +130,49 @@ def format_timestamps(times: np.ndarray | Iterable[float]) -> list[str]:
     second, us = np.divmod(us, _US_PER_SECOND)
     minute, second = np.divmod(second, _SECONDS_PER_MINUTE)
     hour, minute = np.divmod(minute, _SECONDS_PER_MINUTE)
-    two = _2D_TEXT
-    out: list[str] = []
-    append = out.append
-    # Streams are near-sorted, so consecutive stamps usually share a
-    # date prefix; track the last one instead of re-querying the memo.
-    last_day: int | None = None
-    date = ""
-    for d, h, m, s, u in zip(
-        day.tolist(), hour.tolist(), minute.tolist(),
-        second.tolist(), us.tolist(),
+    days, inverse = np.unique(day, return_inverse=True)
+    dates = "".join(map(_date_of_day, days.tolist())).encode("ascii")
+    stamps = np.empty((len(day), TIMESTAMP_WIDTH), dtype=np.uint8)
+    stamps[:, :10] = np.frombuffer(dates, dtype=np.uint8).reshape(-1, 10)[inverse]
+    stamps[:, 10:20] = np.frombuffer(b"T00:00:00.", dtype=np.uint8)
+    for col, value in (
+        (11, hour), (14, minute), (17, second),
+        (20, us // 10_000), (22, us // 100 % 100), (24, us % 100),
     ):
-        if d != last_day:
-            date = _date_of_day(d)
-            last_day = d
-        append(f"{date}T{two[h]}:{two[m]}:{two[s]}.{u:06d}")
-    return out
+        stamps[:, col : col + 2] = _PAIRS[value]
+    return stamps
+
+
+def format_timestamps(times: np.ndarray | Iterable[float]) -> list[str]:
+    """Vectorized :func:`format_timestamp` over an array of timestamps.
+
+    Element for element byte-identical to the scalar codec for stamps
+    with four-digit years (the digit matrix of :func:`_stamp_matrix`).
+    """
+    rows = _stamp_matrix(times).view(f"S{TIMESTAMP_WIDTH}").ravel()
+    return list(map(bytes.decode, rows.tolist()))
+
+
+def _day_us(date: str) -> int:
+    """µs from the epoch to midnight of a ``YYYY-MM-DD`` date.
+
+    Memoized per distinct date; raises ``ValueError`` on exactly the
+    dates ``strptime`` rejects (bad separators, non-digits, month 13,
+    day 32, …).
+    """
+    day_us = _DAY_US_OF_DATE.get(date)
+    if day_us is None:
+        if len(date) != 10 or date[4] != "-" or date[7] != "-":
+            raise ValueError(f"malformed date: {date!r}")
+        if not (date[0:4].isdigit() and date[5:7].isdigit() and date[8:10].isdigit()):
+            raise ValueError(f"malformed date: {date!r}")
+        # datetime.date validates month/day ranges exactly like strptime.
+        ordinal = _dt.date(int(date[0:4]), int(date[5:7]), int(date[8:10])).toordinal()
+        day_us = (ordinal - _EPOCH_ORDINAL) * _US_PER_DAY
+        if len(_DAY_US_OF_DATE) >= _MEMO_LIMIT:
+            _DAY_US_OF_DATE.clear()
+        _DAY_US_OF_DATE[date] = day_us
+    return day_us
 
 
 def parse_timestamp(stamp: str) -> float:
@@ -162,45 +184,16 @@ def parse_timestamp(stamp: str) -> float:
     """
     if len(stamp) != TIMESTAMP_WIDTH or stamp[10] != "T":
         raise ValueError(f"malformed timestamp: {stamp!r}")
-    date = stamp[:10]
-    day_us = _DAY_US_OF_DATE.get(date)
-    if day_us is None:
-        if stamp[4] != "-" or stamp[7] != "-":
-            raise ValueError(f"malformed timestamp: {stamp!r}")
-        if not (
-            stamp[0:4].isdigit() and stamp[5:7].isdigit() and stamp[8:10].isdigit()
-        ):
-            raise ValueError(f"malformed timestamp: {stamp!r}")
-        # datetime.date validates month/day ranges exactly like strptime.
-        ordinal = _dt.date(
-            int(stamp[0:4]), int(stamp[5:7]), int(stamp[8:10])
-        ).toordinal()
-        day_us = (ordinal - _EPOCH_ORDINAL) * _US_PER_DAY
-        if len(_DAY_US_OF_DATE) >= _MEMO_LIMIT:
-            _DAY_US_OF_DATE.clear()
-        _DAY_US_OF_DATE[date] = day_us
+    day_us = _day_us(stamp[:10])
     if stamp[13] != ":" or stamp[16] != ":" or stamp[19] != ".":
         raise ValueError(f"malformed timestamp: {stamp!r}")
-    hour = _2D_VALUE.get(stamp[11:13])
-    minute = _2D_VALUE.get(stamp[14:16])
-    second = _2D_VALUE.get(stamp[17:19])
-    if hour is None or minute is None or second is None:
-        # int() alone would admit signs and padding ("+1", " 1") that
-        # the strptime reference rejects; require digit-only fields.
-        # (isdigit + int also keeps accepting the non-ASCII decimal
-        # digits strptime's \d matches, which the table does not carry.)
-        if not (
-            stamp[11:13].isdigit()
-            and stamp[14:16].isdigit()
-            and stamp[17:19].isdigit()
-        ):
-            raise ValueError(f"malformed timestamp: {stamp!r}")
-        hour = int(stamp[11:13])
-        minute = int(stamp[14:16])
-        second = int(stamp[17:19])
-    if not stamp[20:26].isdigit():
+    # int() alone would admit signs and padding ("+1", " 1") that the
+    # strptime reference rejects; require digit-only fields (isdigit
+    # also keeps the non-ASCII decimal digits strptime's \d matches).
+    fields = (stamp[11:13], stamp[14:16], stamp[17:19], stamp[20:26])
+    if not all(f.isdigit() for f in fields):
         raise ValueError(f"malformed timestamp: {stamp!r}")
-    us = int(stamp[20:26])
+    hour, minute, second, us = map(int, fields)
     if hour > 23 or minute > 59 or second > 59:
         raise ValueError(f"time field out of range: {stamp!r}")
     total_us = (

@@ -1,8 +1,9 @@
 """Per-row reference rendering of console lines (test oracle).
 
-:meth:`repro.telemetry.console.ConsoleLogWriter.lines` renders from
-precomputed tables and the fixed-format timestamp codec; this module is
-the straightforward ``strftime`` rendering it must match byte for byte.
+:meth:`repro.telemetry.console.ConsoleLogWriter.render` renders as
+columns (the timestamp codec's digit matrix, a cname byte table, each
+distinct body once); this module is the straightforward per-row
+``strftime`` rendering it must match byte for byte.
 """
 
 from collections.abc import Iterator

@@ -9,10 +9,12 @@ always partition the input lines.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos.injector import ChaosConfig, CorruptionInjector
+from repro.rng import RngTree
+from repro.telemetry import console
 from repro.telemetry.ingestion import (
     IngestionDegraded,
     IngestionError,
@@ -42,6 +44,16 @@ def gpu_lines(smoke_dataset):
     ]
     assert len(lines) >= 20
     return lines
+
+
+@pytest.fixture(scope="module")
+def chaos_lines(smoke_dataset):
+    """Chaos-corrupted real console lines (every line-level mode)."""
+    base = smoke_dataset.console_text.splitlines()[:400]
+    corrupted, _counts, _ = CorruptionInjector(
+        ChaosConfig.uniform(0.3), seed=7
+    ).corrupt_lines(base)
+    return corrupted
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +285,82 @@ class TestJobsnapStream:
         assert stats.malformed_rows == 0
 
 
+#: Non-ASCII decimal digits (Arabic-Indic, fullwidth): ``\d`` and
+#: ``str.isdecimal`` accept them, the columnar stamp decode does not.
+_WIDE_DIGITS = ("\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+                "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
+
+
+def _widen_digit(draw, text, positions):
+    """``text`` with the digit at one of ``positions`` replaced by the
+    same digit from a non-ASCII decimal script."""
+    i = draw(st.sampled_from(list(positions)))
+    return text[:i] + draw(st.sampled_from(_WIDE_DIGITS))[int(text[i])] + text[i + 1 :]
+
+
+#: One departure from canonical writer output per drawn line, or none.
+_FLAWS = [None] * 8 + [
+    "year", "stamp_digit", "cname_zero", "separator", "page_16",
+    "job_19", "job_digit", "unknown_xid", "bogus_structure",
+]
+
+
+@st.composite
+def _canonical_line(draw, cnames):
+    """A writer-format line: canonical (stamps in the study window,
+    10- and 11-char cnames, pages of up to 15 hex digits, jobs of up to
+    18 digits) or with one flaw — a stamp in year 0001, 2400 or 9999,
+    a non-ASCII digit in the stamp or the job, a leading-zero cname, a
+    missing, doubled or tab separator, a 16-hex-digit page, a 19-digit
+    job, an unknown XID or an unknown structure."""
+    from repro.telemetry.console import _BODY_HEAD_BY_CODE, _STRUCT_NAME_BY_CODE
+
+    flaw = draw(st.sampled_from(_FLAWS))
+    # Uniform draws: float rounding at large µs totals and int64 bounds
+    # only show on values away from the small ones hypothesis favours.
+    rng = RngTree(draw(st.integers(0, 2**32 - 1))).fresh_generator("line")
+
+    def uniform(low, high):
+        return int(rng.integers(low, high, endpoint=True, dtype=np.uint64))
+
+    year = draw(st.sampled_from([1, 2400, 9999] if flaw == "year" else [2013, 2014]))
+    stamp = (
+        f"{year:04d}-{uniform(1, 12):02d}-{uniform(1, 28):02d}"
+        f"T{uniform(0, 23):02d}:{uniform(0, 59):02d}:"
+        f"{uniform(0, 59):02d}.{uniform(0, 999_999):06d}"
+    )
+    if flaw == "stamp_digit":
+        stamp = _widen_digit(draw, stamp, [0, 3, 6, 9, 12, 18, 25])
+    width = draw(st.sampled_from([10, 11]))
+    cname = draw(st.sampled_from([c for c in cnames if len(c) == width]))
+    if flaw == "cname_zero":
+        cname = "c0" + cname[1:]
+    heads = sorted(_BODY_HEAD_BY_CODE.values())
+    body = draw(st.sampled_from(["GPU XID 99: new thing"] if flaw == "unknown_xid" else heads))
+    if flaw in ("bogus_structure", "page_16") or draw(st.booleans()):
+        names = ["bogus"] if flaw == "bogus_structure" else _STRUCT_NAME_BY_CODE
+        body += " in " + draw(st.sampled_from(names))
+        if flaw == "page_16" or draw(st.booleans()):
+            digits = 16 if flaw == "page_16" else draw(st.sampled_from([1, 6, 7, 15]))
+            page = uniform(16 ** (digits - 1), 16**digits - 1)
+            body += f" page 0x{page:x}"
+    if flaw in ("job_19", "job_digit") or draw(st.booleans()):
+        digits = 19 if flaw == "job_19" else draw(st.sampled_from([1, 5, 18]))
+        job = str(uniform(10 ** (digits - 1), 10**digits - 1))
+        if flaw == "job_digit":
+            job = _widen_digit(draw, job, range(len(job)))
+        body += f" [job={job}]"
+    sep = draw(st.sampled_from(["", "  ", "\t"])) if flaw == "separator" else " "
+    return f"{stamp} {cname}{sep}{body}"
+
+
+def _columns(log):
+    return tuple(
+        getattr(log, name).tobytes()
+        for name in ("time", "gpu", "etype", "structure", "job", "parent", "aux")
+    )
+
+
 def _assert_logs_equal(got, want):
     """Row-for-row equality over every EventLog column."""
     assert len(got) == len(want)
@@ -313,6 +401,60 @@ class TestFastSlowEquivalence:
     def test_fuzzed_lines(self, bare_machine, lines):
         _assert_same_parse(bare_machine, lines)
 
+    @given(data=st.data())
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_property_across_slice_seams(self, smoke_dataset, chaos_lines, data):
+        """Columnar decode ≡ per-line path, with slices of 1–7 rows so
+        their seams fall inside the drawn stream: same log rows,
+        statistics, strict error, quarantine records and budget
+        verdict."""
+        machine = smoke_dataset.machine
+        canonical = _canonical_line(machine.cname_table())
+        fused = st.builds(lambda a, b: a + b, canonical, canonical)
+        line = st.one_of(
+            canonical,
+            canonical,
+            canonical,
+            canonical.map(lambda text: text + "\n"),
+            st.sampled_from(chaos_lines),
+            fused,
+            _LINE_TEXT,
+            st.sampled_from(["", "   ", "\t", " \n"]),
+        )
+        lines = data.draw(st.lists(line, max_size=40))
+        slice_rows = data.draw(st.integers(1, 7))
+        first_line_no = data.draw(st.integers(1, 10_000))
+        capacity = data.draw(st.none() | st.integers(0, 5))
+        budget = data.draw(st.none() | st.floats(0.0, 1.0))
+
+        def outcome(fast, strict):
+            sink = None if capacity is None else QuarantineSink(capacity)
+            parser = ConsoleLogParser(
+                machine, strict=strict, error_budget=budget,
+                quarantine=sink, fast=fast,
+            )
+            try:
+                log, stats = parser.parse_lines(lines, first_line_no=first_line_no)
+                result = ("ok", stats, _columns(log))
+            except IngestionError as exc:
+                result = ("strict", exc.line_no, exc.category, exc.line)
+            except IngestionDegraded as exc:
+                result = ("degraded", exc.stats, exc.fraction, _columns(exc.log))
+            records = None if sink is None else (
+                sink.total, sink.counts, sink.n_overflowed,
+                [(r.line_no, r.category, r.line) for r in sink.records],
+            )
+            return result, records
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(console, "_SLICE_ROWS", slice_rows)
+            for strict in (False, True):
+                assert outcome(True, strict) == outcome(False, strict)
+
     def test_near_canonical_edge_lines(self, smoke_dataset, gpu_lines):
         # Lines one mutation away from canonical: each must land in the
         # same counter on both paths (most fall through to slow).
@@ -327,6 +469,36 @@ class TestFastSlowEquivalence:
             base[:10],  # truncated mid-stamp
         ]
         _assert_same_parse(smoke_dataset.machine, variants)
+
+    def test_separator_and_numeral_edges(self, smoke_dataset):
+        # The columnar decode reads a 10-char cname through an 11-char
+        # field that ends in its separator: a missing or doubled
+        # separator on either cname width, and page/job numerals at and
+        # past the int64 guard, must all land exactly as on the per-line
+        # path.
+        stamp = "2013-06-03T12:00:00.123456"
+        head = "GPU XID 48: DBE (Double Bit Error) detected in device_memory"
+        lines = [
+            f"{stamp} {cname}{sep}{head} page 0x{page:x} [job={job}]"
+            for cname in ("c1-2c0s3n1", "c1-12c0s3n1")
+            for sep in (" ", "", "  ")
+            for page in (0x1000000, 2**60 - 1, 2**62, 2**64 - 1)
+            for job in (0, 10**18 - 1, 2**62, 10**19 - 1)
+        ]
+        _assert_same_parse(smoke_dataset.machine, lines)
+
+    def test_extreme_years(self, smoke_dataset):
+        # Beyond 2**53 µs from the epoch numpy's int64 → float64 division
+        # and Python's exact int / int disagree on about a quarter of
+        # stamps, so those rows must take the per-line path.
+        micros = RngTree(3).fresh_generator("us").integers(0, 1_000_000, 900).tolist()
+        lines = [
+            f"{year}-03-26T20:18:27.{micros.pop():06d} "
+            "c0-5c1s4n0 GPU XID 56: Display Engine error"
+            for year in ("0001", "2400", "9999")
+            for _ in range(300)
+        ]
+        _assert_same_parse(smoke_dataset.machine, lines)
 
 
 def _halves(lines):

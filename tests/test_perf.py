@@ -114,6 +114,54 @@ class TestModuleLevelRegistry:
         assert "after" not in snap["stages"]
 
 
+class TestParseFallbackCounter:
+    """``telemetry.parse_fallback`` counts the rows the columnar decode
+    hands to the per-line path: none on pristine writer output, some
+    on chaos-corrupted text."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_global(self):
+        perf.disable()
+        perf.reset()
+        yield
+        perf.disable()
+        perf.reset()
+
+    def _fallback(self, text, machine):
+        from repro.telemetry.console import text_windows
+        from repro.telemetry.parallel_parse import parse_blocks
+
+        perf.reset()
+        perf.enable()
+        try:
+            parse_blocks(text_windows(text), machine)
+        finally:
+            perf.disable()
+        return perf.snapshot()["counters"]["telemetry.parse_fallback"]
+
+    def test_zero_on_pristine_smoke_run(self, smoke_dataset):
+        assert self._fallback(smoke_dataset.console_text, smoke_dataset.machine) == 0
+
+    def test_positive_on_chaos_text(self, smoke_dataset):
+        from repro.chaos.injector import ChaosConfig, CorruptionInjector
+
+        corrupted = CorruptionInjector(ChaosConfig.uniform(0.3), seed=5).corrupt_text(
+            smoke_dataset.console_text
+        ).text
+        assert self._fallback(corrupted, smoke_dataset.machine) > 0
+
+    def test_profile_prints_it(self, capsys):
+        from repro.cli import main
+
+        rc = main(["profile", "--days", "3", "--seed", "7", "--no-cache"])
+        assert rc == 0
+        row = [
+            line for line in capsys.readouterr().out.splitlines()
+            if "telemetry.parse_fallback" in line
+        ]
+        assert len(row) == 1 and row[0].split()[-1] == "0"
+
+
 class TestProfileCli:
     def test_profile_smoke_json(self, capsys):
         from repro.cli import main

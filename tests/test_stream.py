@@ -238,8 +238,10 @@ class TestParseEquivalence:
         core under drawn strict/quarantine/budget settings; log rows,
         statistics, the global line number of a strict error, the
         quarantine records and the budget verdict must all equal one
-        serial ``parse_lines`` over the whole input.  Shards of the
-        same lines must reassemble to the whole rendering.
+        serial per-line (``fast=False``) ``parse_lines`` over the whole
+        input, so the block parse's columnar decode is held to the
+        reference path, not to itself.  Shards of the same lines must
+        reassemble to the whole rendering.
         """
         a, b = gpu_record_lines
         line = st.one_of(
@@ -276,6 +278,7 @@ class TestParseEquivalence:
                 strict=strict,
                 error_budget=budget,
                 quarantine=serial_sink,
+                fast=False,
             ).parse_lines(lines)
         )
         blocked = _outcome(
@@ -443,13 +446,13 @@ class TestShardedCacheLayer:
         once, parses and shards it in the same pass, and never holds
         the whole log text."""
         rendered = []
-        lines = ConsoleLogWriter.lines
+        render = ConsoleLogWriter.render
 
-        def counting_lines(writer, events):
+        def counting_render(writer, events):
             rendered.append(events.time)
-            return lines(writer, events)
+            return render(writer, events)
 
-        monkeypatch.setattr(ConsoleLogWriter, "lines", counting_lines)
+        monkeypatch.setattr(ConsoleLogWriter, "render", counting_render)
         dataset, warm = load_or_simulate(smoke_dataset.scenario, store)
         assert not warm
         assert dataset._console_text is None

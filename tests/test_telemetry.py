@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors.event import EventLogBuilder
+from repro.errors.event import STRUCTURE_CODES, EventLog, EventLogBuilder
 from repro.errors.xid import ErrorType
 from repro.gpu.fleet import GPUFleet
 from repro.gpu.k20x import MemoryStructure
@@ -136,15 +138,75 @@ class TestRoundTrip:
         assert stats.total_lines == 0
 
     def test_fast_lines_match_reference(self, machine):
-        # The table-driven writer must be byte-identical to the per-row
+        # The columnar writer must be byte-identical to the per-row
         # render_event_line reference, including the SBE skip.
         log = self.build_log(machine)
         writer = ConsoleLogWriter(machine)
-        assert list(writer.lines(log)) == list(reference_lines(machine, log))
+        assert writer.render(log) == list(reference_lines(machine, log))
+
+    def build_edge_log(self):
+        """Rows that stress the columnar render: SBE-only runs, a
+        structure-less row carrying an aux, pages past six hex digits,
+        job 0 and the largest GPU id."""
+        b = EventLogBuilder()
+        for t in (1.0, 2.0, 3.0):
+            b.add(t, 5, ErrorType.SBE, structure=MemoryStructure.L2_CACHE)
+        b.add(4.0, 6, ErrorType.GRAPHICS_ENGINE_EXCEPTION, job=0, aux=77)
+        b.add(5.0, 7, ErrorType.DBE, structure=MemoryStructure.DEVICE_MEMORY,
+              aux=0x1000000, job=0)
+        b.add(6.0, 7, ErrorType.ECC_PAGE_RETIREMENT,
+              structure=MemoryStructure.DEVICE_MEMORY, aux=0xFFFFFFFFFFFF)
+        b.add(7.25, 18_687, ErrorType.OFF_THE_BUS, job=123_456_789_012_345_678)
+        for t in (8.0, 9.0, 10.0, 11.0):
+            b.add(t, 8, ErrorType.SBE)
+        b.add(12.5, 0, ErrorType.DBE, structure=MemoryStructure.L1_CACHE)
+        b.add(13.0, 0, ErrorType.DBE, structure=MemoryStructure.L1_CACHE, aux=0)
+        b.add(86_399.9999996, 3, ErrorType.GRAPHICS_ENGINE_EXCEPTION, job=5)
+        return b.freeze()
+
+    @pytest.mark.parametrize("slice_rows", [1, 2, 3, 7, 10_000])
+    def test_fast_lines_match_reference_across_slices(
+        self, machine, monkeypatch, slice_rows
+    ):
+        # Slice seams fall between every few rows, and some slices hold
+        # nothing but SBE rows.
+        monkeypatch.setattr(console, "_SLICE_ROWS", slice_rows)
+        log = self.build_edge_log()
+        writer = ConsoleLogWriter(machine)
+        expected = list(reference_lines(machine, log))
+        assert writer.render(log) == expected
+        assert writer.to_text(log) == "".join(line + "\n" for line in expected)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_fast_lines_match_reference_property(self, machine, data):
+        n = data.draw(st.integers(0, 30))
+
+        def column(elements):
+            return np.asarray(
+                data.draw(st.lists(elements, min_size=n, max_size=n)),
+                dtype=np.int64,
+            )
+
+        log = EventLog.from_arrays(
+            time=np.asarray(data.draw(st.lists(
+                st.floats(-3e7, 1e8, allow_nan=False), min_size=n, max_size=n
+            ))),
+            gpu=column(st.integers(0, 18_687)),
+            etype=column(st.sampled_from([t.code for t in ErrorType])),
+            structure=column(st.integers(-1, len(STRUCTURE_CODES) - 1)),
+            job=column(st.sampled_from([-7, -1, 0, 1, 10**18 - 1, 2**62])),
+            aux=column(st.sampled_from([-1, 0, 0xFFFFFF, 0x1000000, 2**62])),
+        )
+        writer = ConsoleLogWriter(machine)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(console, "_SLICE_ROWS", data.draw(st.integers(1, 7)))
+            assert writer.render(log) == list(reference_lines(machine, log))
 
     def test_fast_lines_match_reference_at_scale(self, smoke_dataset, monkeypatch):
-        # Small render windows: the seams between them must not show.
+        # Small render windows and smaller slices: no seam may show.
         monkeypatch.setattr(console, "RENDER_CHUNK_ROWS", 4_096)
+        monkeypatch.setattr(console, "_SLICE_ROWS", 1_000)
         writer = ConsoleLogWriter(smoke_dataset.machine)
         events = smoke_dataset.events
         assert writer.to_text(events) == "".join(
