@@ -22,31 +22,33 @@ layer                 kind    contents
 ``console.manifest``  json    the shard list with per-shard SHA-256
 ====================  ======  ============================================
 
-and :func:`load_or_simulate` reconstructs a :class:`CachedDataset` from
-them — skipping simulation, console rendering *and* parsing — or
-transparently falls back to a cold :class:`TitanSimulation` run (and
-persists the result) when any layer is missing or fails its checksum.
-A damaged or stale cache can cost time, never correctness.
+and :func:`load_or_simulate` reconstructs a
+:class:`~repro.sim.simulation.SimulationDataset` with
+``provenance="cache"`` from them — its parse, nvsmi and snapshot
+caches prefilled, so simulation, console rendering *and* parsing are
+skipped — or transparently falls back to a cold :class:`TitanSimulation`
+run (and persists the result) when any layer is missing or fails its
+checksum.  A damaged or stale cache can cost time, never correctness.
 
 On a cold run the console log is rendered once: each render window is
 parsed and, in the same pass, written to the store as one shard, so
 the full log text is never resident.  The manifest is written last —
 a crash mid-persist leaves no manifest and the dataset reads as a
 miss.  Loads verify every shard against the manifest eagerly, one at a
-time, and reassemble ``console_text`` lazily, only if something asks
-for the whole string.
+time; the warm dataset re-reads the shards only if something asks for
+its console blocks or the whole ``console_text``.
 
 Ground truth (the injector's event log, the fleet ledgers) is *not*
-cached: analyses must run from observables exactly like the paper's
-did, and validation paths that need ground truth request it explicitly
-via ``require_ground_truth=True``, which always simulates.
+cached: a warm dataset raises :class:`GroundTruthUnavailable` when it
+is asked for it.  Analyses must run from observables exactly like the
+paper's did, and validation paths that need ground truth request it
+explicitly via ``require_ground_truth=True``, which always simulates.
 """
 
 from __future__ import annotations
 
-import hashlib
-from collections.abc import Iterable, Iterator
-from typing import TYPE_CHECKING, Any, Callable, Optional, Union
+from collections.abc import Iterator
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro import perf
 from repro.cache.keys import PIPELINE_EPOCH, dataset_key
@@ -54,20 +56,12 @@ from repro.cache.store import ArtifactStore
 from repro.stream.shards import ShardCorruption, ShardInfo, ShardManifest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
-
-    from repro.errors.event import EventLog
     from repro.sim.scenario import Scenario
     from repro.sim.simulation import SimulationDataset
-    from repro.telemetry.jobsnap import JobSnapshotRecord
-    from repro.telemetry.parser import ParseStats
-    from repro.workload.jobs import JobTrace
-    from repro.workload.lookup import JobLocator
 
 __all__ = [
     "DATASET_LAYERS",
     "GroundTruthUnavailable",
-    "CachedDataset",
     "persist_dataset",
     "load_dataset",
     "has_dataset",
@@ -94,7 +88,9 @@ class GroundTruthUnavailable(RuntimeError):
     Cached datasets carry only what the paper's authors had — telemetry.
     Validation code that needs the injector's event log or the fleet
     ledgers must run a real simulation
-    (``load_or_simulate(..., require_ground_truth=True)``).
+    (``load_or_simulate(..., require_ground_truth=True)``).  Defined
+    here, not beside the dataset, so ``import repro.cache`` stays free
+    of the simulator.
     """
 
 
@@ -106,173 +102,9 @@ def _console_shard_layer(index: int) -> str:
     return f"console.{index:06d}"
 
 
-class CachedDataset:
-    """A dataset reconstructed from cached telemetry layers.
-
-    Mirrors the *observable* surface of
-    :class:`~repro.sim.simulation.SimulationDataset` — ``scenario``,
-    ``machine``, ``trace``, ``console_text``, ``parsed_events``,
-    ``parse_stats``, ``nvsmi_table``, ``jobsnap_records``, ``locator``
-    — which is everything :class:`~repro.core.study.TitanStudy` and the
-    chaos toolkit consume.  Ground-truth accessors raise
-    :class:`GroundTruthUnavailable`.
-    """
-
-    provenance = "cache"
-
-    def __init__(
-        self,
-        scenario: "Scenario",
-        *,
-        console_shards: "Callable[[], Iterable[str]]",
-        parsed: "tuple[EventLog, ParseStats]",
-        nvsmi_table: "dict[str, np.ndarray]",
-        jobsnap_records: "list[JobSnapshotRecord]",
-        trace: "JobTrace",
-    ) -> None:
-        from repro.topology.machine import TitanMachine
-
-        self.scenario = scenario
-        self.machine = TitanMachine(folded_torus=scenario.folded_torus)
-        self.trace = trace
-        # ``console_shards`` yields the stream's whole-line text pieces
-        # in order; the whole string is joined only if someone asks.
-        self._console_shards = console_shards
-        self._console_text: Optional[str] = None
-        self._parsed = parsed
-        self._nvsmi_table = nvsmi_table
-        self._jobsnap = jobsnap_records
-        self._locator: Optional["JobLocator"] = None
-
-    # -- observable artifacts ------------------------------------------------
-
-    @property
-    def console_text(self) -> str:
-        if self._console_text is None:
-            self._console_text = "".join(self._console_shards())
-        return self._console_text
-
-    def console_blocks(self) -> "Iterator[list[str]]":
-        """The console stream as whole-line blocks, one shard at a time."""
-        for text in self._console_shards():
-            yield text.splitlines()
-
-    def parse_console(
-        self, sink: "Optional[Callable[[list[str]], None]]" = None
-    ) -> "tuple[EventLog, ParseStats]":
-        """The cached parse; ``sink`` also receives every console block."""
-        if sink is not None:
-            for block in self.console_blocks():
-                sink(block)
-        return self._parsed
-
-    @property
-    def parsed_events(self) -> "EventLog":
-        return self._parsed[0]
-
-    @property
-    def parse_stats(self) -> "ParseStats":
-        return self._parsed[1]
-
-    @property
-    def nvsmi_table(self) -> "dict[str, np.ndarray]":
-        return self._nvsmi_table
-
-    @property
-    def jobsnap_records(self) -> "list[JobSnapshotRecord]":
-        return self._jobsnap
-
-    @property
-    def locator(self) -> "JobLocator":
-        if self._locator is None:
-            from repro.workload.lookup import JobLocator
-
-            self._locator = JobLocator(self.trace, self.machine.allocation_rank)
-        return self._locator
-
-    def with_console_text(
-        self,
-        text: str,
-        parsed: "Optional[tuple[EventLog, ParseStats]]" = None,
-    ) -> "CachedDataset":
-        """Observable-stream replacement hook (chaos experiments).
-
-        The returned dataset is marked ``provenance="modified"`` so
-        figure memoization never writes its results back to the store
-        under the clean dataset's key.
-        """
-        if parsed is None:
-            from repro.telemetry.console import text_windows
-            from repro.telemetry.parallel_parse import parse_blocks
-
-            log, stats = parse_blocks(text_windows(text), self.machine)
-            parsed = (log.sorted_by_time(), stats)
-        clone = CachedDataset(
-            self.scenario,
-            console_shards=lambda: (text,),
-            parsed=parsed,
-            nvsmi_table=self._nvsmi_table,
-            jobsnap_records=self._jobsnap,
-            trace=self.trace,
-        )
-        clone.provenance = "modified"  # type: ignore[misc]
-        return clone
-
-    # -- ground truth is *not* cached ---------------------------------------
-
-    def _no_ground_truth(self, attr: str) -> Any:
-        raise GroundTruthUnavailable(
-            f"SimulationDataset.{attr} is simulator ground truth and is "
-            "never cached; rerun with require_ground_truth=True (or call "
-            "TitanSimulation directly) to get a fully simulated dataset"
-        )
-
-    @property
-    def events(self) -> Any:
-        return self._no_ground_truth("events")
-
-    @property
-    def injection(self) -> Any:
-        return self._no_ground_truth("injection")
-
-    @property
-    def fleet(self) -> Any:
-        return self._no_ground_truth("fleet")
-
-    @property
-    def thermal(self) -> Any:
-        return self._no_ground_truth("thermal")
-
-    @property
-    def users(self) -> Any:
-        return self._no_ground_truth("users")
-
-    @property
-    def nvsmi(self) -> Any:
-        return self._no_ground_truth("nvsmi")
-
-    @property
-    def node_state_log(self) -> Any:
-        return self._no_ground_truth("node_state_log")
-
-    @property
-    def sbe_by_slot(self) -> Any:
-        return self._no_ground_truth("sbe_by_slot")
-
-    @property
-    def sbe_by_job(self) -> Any:
-        return self._no_ground_truth("sbe_by_job")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CachedDataset(scenario={self.scenario.name!r}, "
-            f"seed={self.scenario.seed})"
-        )
-
-
 def persist_dataset(
     store: ArtifactStore,
-    dataset: "Union[SimulationDataset, CachedDataset]",
+    dataset: "SimulationDataset",
     *,
     epoch: int = PIPELINE_EPOCH,
 ) -> str:
@@ -283,7 +115,7 @@ def persist_dataset(
     render windows, so a cold persist renders the log once, parses it
     and shards it in the same pass.  The manifest is written last.
     """
-    if getattr(dataset, "provenance", "simulated") == "modified":
+    if dataset.provenance == "modified":
         raise ValueError(
             "refusing to persist a dataset with a modified console "
             "stream under its scenario's content address"
@@ -293,18 +125,12 @@ def persist_dataset(
 
     def put_shard(lines: list[str]) -> None:
         text = "\n".join(lines) + "\n"
-        payload = text.encode("utf-8")
-        name = _console_shard_layer(len(shards))
-        with perf.stage("cache.persist"):
-            store.put(_layer_key(dkey, name), text, "text")
-        shards.append(
-            ShardInfo(
-                name=name,
-                lines=len(lines),
-                nbytes=len(payload),
-                sha256=hashlib.sha256(payload).hexdigest(),
-            )
+        shard = ShardInfo.of(
+            _console_shard_layer(len(shards)), len(lines), text.encode("utf-8")
         )
+        with perf.stage("cache.persist"):
+            store.put(_layer_key(dkey, shard.name), text, "text")
+        shards.append(shard)
 
     parsed = dataset.parse_console(put_shard)
     manifest = ShardManifest(
@@ -330,8 +156,11 @@ def load_dataset(
     scenario: "Scenario",
     *,
     epoch: int = PIPELINE_EPOCH,
-) -> Optional[CachedDataset]:
+) -> "Optional[SimulationDataset]":
     """Reconstruct a dataset from the store, or ``None`` on any miss.
+
+    The dataset is a :class:`~repro.sim.simulation.SimulationDataset`
+    with ``provenance="cache"`` and no ground truth.
 
     Every layer is fully decoded (checksum-verified) up front, and every
     console shard is re-digested against the manifest, one shard
@@ -363,13 +192,18 @@ def load_dataset(
                 )
             yield text
 
-    return CachedDataset(
-        scenario,
-        console_shards=console_shards,
-        parsed=tuple(decoded["parsed"]),
-        nvsmi_table=decoded["nvsmi"],
-        jobsnap_records=decoded["jobsnap"],
+    from repro.sim.simulation import SimulationDataset
+    from repro.topology.machine import TitanMachine
+
+    return SimulationDataset(
+        scenario=scenario,
+        machine=TitanMachine(folded_torus=scenario.folded_torus),
         trace=decoded["trace"],
+        provenance="cache",
+        _console_shards=console_shards,
+        _parsed=tuple(decoded["parsed"]),
+        _nvsmi_table=decoded["nvsmi"],
+        _jobsnap=decoded["jobsnap"],
     )
 
 
@@ -383,13 +217,7 @@ def _verified_manifest(
         return None
     for shard in manifest.shards:
         text = store.get(_layer_key(dkey, shard.name))
-        if not isinstance(text, str):
-            return None
-        payload = text.encode("utf-8")
-        if (
-            len(payload) != shard.nbytes
-            or hashlib.sha256(payload).hexdigest() != shard.sha256
-        ):
+        if not isinstance(text, str) or not shard.matches(text.encode("utf-8")):
             return None
     return manifest
 
@@ -417,7 +245,7 @@ def load_or_simulate(
     *,
     require_ground_truth: bool = False,
     epoch: int = PIPELINE_EPOCH,
-) -> "tuple[Union[SimulationDataset, CachedDataset], bool]":
+) -> "tuple[SimulationDataset, bool]":
     """The incremental front door: ``(dataset, warm)``.
 
     * ``store is None`` — plain cold simulation, nothing persisted.

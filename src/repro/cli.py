@@ -51,6 +51,22 @@ def _scenario(args) -> "Scenario":
     return Scenario.smoke(seed=args.seed, days=args.days)
 
 
+def _fraction(text: str) -> float:
+    """argparse type: a float in [0, 1]; anything else exits 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid fraction: {text!r}") from None
+    if not 0.0 <= value <= 1.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"{text!r} is not in [0, 1]")
+    return value
+
+
+def _fractions(text: str) -> tuple[float, ...]:
+    """argparse type: comma-separated fractions, each in [0, 1]."""
+    return tuple(_fraction(item) for item in text.split(",") if item.strip())
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=20131001)
     p.add_argument("--full", action="store_true",
@@ -116,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "--log-out (bounded memory at any scale)")
     p_sim.add_argument("--nvsmi-out", type=Path, default=None,
                        help="also write the fleet nvidia-smi table (CSV)")
-    p_sim.add_argument("--chaos-rate", type=float, default=0.0,
+    p_sim.add_argument("--chaos-rate", type=_fraction, default=0.0,
                        help="corrupt this fraction of console lines before "
                             "writing (deterministic; uses the scenario seed)")
 
@@ -143,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cor.add_argument("log", type=Path, help="input console-log text file")
     p_cor.add_argument("--out", type=Path, default=None,
                        help="output path (default: <log>.corrupt)")
-    p_cor.add_argument("--rate", type=float, default=0.01,
+    p_cor.add_argument("--rate", type=_fraction, default=0.01,
                        help="total per-line corruption rate (spread "
                             "uniformly over the fault modes)")
     p_cor.add_argument("--seed", type=int, default=20131001)
@@ -157,11 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="corruption sweep: rerun the scorecard on damaged telemetry",
     )
     _add_common(p_deg)
-    p_deg.add_argument("--levels", type=str, default="0,0.001,0.01,0.05,0.2",
+    p_deg.add_argument("--levels", type=_fractions, default="0,0.001,0.01,0.05,0.2",
                        help="comma-separated corruption levels to sweep")
-    p_deg.add_argument("--budget", type=float, default=0.05,
+    p_deg.add_argument("--budget", type=_fraction, default=0.05,
                        help="parser error budget (fraction of corrupt lines)")
-    p_deg.add_argument("--fail-level", type=float, default=None,
+    p_deg.add_argument("--fail-level", type=_fraction, default=None,
                        help="exit non-zero if any check flips at a level "
                             "<= this threshold")
 
@@ -355,12 +371,9 @@ def cmd_degradation(args) -> int:
     """Run the graceful-degradation sweep and print the flip table."""
     from repro.chaos import run_degradation
 
-    levels = tuple(
-        float(level) for level in args.levels.split(",") if level.strip()
-    )
     curve = run_degradation(
         _scenario(args),
-        levels=levels,
+        levels=args.levels,
         seed=args.seed,
         error_budget=args.budget,
         store=_store(args),

@@ -198,8 +198,7 @@ class TitanStudy:
         self._use_store = (
             store is not None
             and coverage is None
-            and getattr(dataset, "provenance", "simulated")
-            in ("simulated", "cache")
+            and dataset.provenance in ("simulated", "cache")
         )
 
     # -- figure memoization ---------------------------------------------------

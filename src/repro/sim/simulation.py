@@ -8,36 +8,43 @@ The simulation is staged exactly as DESIGN.md's dataflow describes:
 3. run all fault injectors (hardware → software → cascades → SBE);
 4. render the console log and parse it back through the SEC rules —
    the analyses consume the round-tripped log, never the injector's
-   in-memory events.  Rendering and parsing are one pass over
-   fixed-size row windows, so the full log text is never resident
-   unless a caller asks for ``console_text``;
+   in-memory events.  Rendering and parsing are one pass: the writer's
+   fixed-size row windows feed one ``parse_lines`` call lazily, so the
+   full log text is never resident unless a caller asks for
+   ``console_text``;
 5. expose nvidia-smi fleet tables and per-job snapshot records.
 
 Heavy artifacts (parsed log, nvsmi table, snapshot records, and the
 log text if requested) are materialized lazily and cached on the
-dataset.  ``default_dataset`` memoizes whole datasets per scenario so a
-test session or benchmark run simulates each configuration once.
+dataset.  :class:`SimulationDataset` is also what
+:func:`repro.cache.load_dataset` returns: a warm load prefills those
+caches from the artifact store, reads the console text from the
+store's shards and carries no ground truth (``provenance="cache"``).
+``default_dataset`` memoizes whole datasets per scenario so a test
+session or benchmark run simulates each configuration once.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 import numpy as np
 
 from repro import perf
+from repro.cache.pipeline import GroundTruthUnavailable
 from repro.errors.event import EventLog
 from repro.faults.injector import FaultInjector, InjectionResult
 from repro.gpu.fleet import GPUFleet
 from repro.rng import RngTree
 from repro.sim.scenario import Scenario
 from repro.telemetry.console import ConsoleLogWriter, text_windows
-from repro.telemetry.parallel_parse import parse_blocks
 from repro.telemetry.jobsnap import JobSnapshotFramework, JobSnapshotRecord
 from repro.telemetry.nvsmi import NvidiaSmi
-from repro.telemetry.parser import ParseStats
+from repro.telemetry.parser import ConsoleLogParser, ParseStats
 from repro.telemetry.raslog import NodeStateLog, RepairModel
 from repro.topology.machine import TitanMachine
 from repro.topology.thermal import ThermalModel
@@ -48,31 +55,51 @@ from repro.workload.users import UserPopulation
 
 __all__ = ["TitanSimulation", "SimulationDataset", "default_dataset"]
 
+_T = TypeVar("_T")
+
+
+def _ground_truth(name: str, value: Optional[_T]) -> _T:
+    if value is None:
+        raise GroundTruthUnavailable(
+            f"SimulationDataset.{name} is simulator ground truth and is "
+            "never cached; rerun with require_ground_truth=True (or call "
+            "TitanSimulation directly) to get a fully simulated dataset"
+        )
+    return value
+
 
 @dataclass
 class SimulationDataset:
-    """Everything one simulated Titan study produced.
+    """Everything one Titan study analyzes.
 
     Observable artifacts (what the paper's authors had):
-    ``console_text`` / ``parsed_events``, ``nvsmi`` tables,
+    ``console_text`` / ``parsed_events``, ``nvsmi_table``,
     ``jobsnap_records``, and the job accounting in ``trace``.
-    Ground truth (for validation only): ``injection`` and ``fleet``.
+    Ground truth (for validation only): ``injection``, ``fleet``,
+    ``thermal``, ``users`` and ``nvsmi``.  A dataset loaded from the
+    artifact store has none; reading it raises
+    :class:`~repro.cache.pipeline.GroundTruthUnavailable`.
     """
 
     scenario: Scenario
     machine: TitanMachine
-    fleet: GPUFleet
-    thermal: ThermalModel
-    users: UserPopulation
     trace: JobTrace
-    injection: InjectionResult
-    nvsmi: NvidiaSmi
-    #: ``"simulated"`` for a pristine run, ``"modified"`` once the
-    #: observable console stream was replaced (chaos experiments).  The
-    #: figure cache only ever persists results for pristine datasets —
-    #: a modified stream must never be written back under the clean
-    #: scenario's content address.
+    _fleet: Optional[GPUFleet] = field(default=None, repr=False)
+    _thermal: Optional[ThermalModel] = field(default=None, repr=False)
+    _users: Optional[UserPopulation] = field(default=None, repr=False)
+    _injection: Optional[InjectionResult] = field(default=None, repr=False)
+    _nvsmi: Optional[NvidiaSmi] = field(default=None, repr=False)
+    #: ``"simulated"`` for a pristine run, ``"cache"`` for one loaded
+    #: from the artifact store, ``"modified"`` once the observable
+    #: console stream was replaced (chaos experiments).  The figure
+    #: cache never persists results for a modified dataset — its stream
+    #: must never be written back under the clean scenario's content
+    #: address.
     provenance: str = "simulated"
+    #: The stored console shards' texts, in order (warm loads only).
+    _console_shards: Optional[Callable[[], Iterable[str]]] = field(
+        default=None, repr=False
+    )
     _console_text: Optional[str] = field(default=None, repr=False)
     _parsed: Optional[tuple[EventLog, ParseStats]] = field(default=None, repr=False)
     _nvsmi_table: Optional[dict[str, np.ndarray]] = field(default=None, repr=False)
@@ -84,20 +111,29 @@ class SimulationDataset:
 
     @property
     def console_text(self) -> str:
-        """The rendered console log (materialized only when asked for)."""
+        """The console log as one string (materialized only when asked
+        for): the stored shards joined, or the events rendered."""
         if self._console_text is None:
-            with perf.stage("telemetry.render"):
-                writer = ConsoleLogWriter(self.machine)
-                self._console_text = writer.to_text(self.injection.events)
+            if self._console_shards is not None:
+                self._console_text = "".join(self._console_shards())
+            else:
+                with perf.stage("telemetry.render"):
+                    writer = ConsoleLogWriter(self.machine)
+                    self._console_text = writer.to_text(self.injection.events)
         return self._console_text
 
     def console_blocks(self) -> Iterator[list[str]]:
         """The console stream as whole-line blocks, never held whole.
 
-        A replaced (or already materialized) text is split into
-        window-sized blocks; otherwise the injector's events render one
-        window at a time, each timed as the ``telemetry.render`` stage.
+        Stored shards are read back one at a time, and a replaced (or
+        already materialized) text is split into window-sized blocks;
+        otherwise the injector's events render one window at a time,
+        each timed as the ``telemetry.render`` stage.
         """
+        if self._console_shards is not None:
+            for text in self._console_shards():
+                yield text.splitlines()
+            return
         if self._console_text is not None:
             yield from text_windows(self._console_text)
             return
@@ -114,18 +150,20 @@ class SimulationDataset:
     ) -> tuple[EventLog, ParseStats]:
         """The parsed console ``(time-sorted log, statistics)``.
 
-        The first call runs the round trip: each block of
-        :meth:`console_blocks` goes through the one parse core.
-        ``sink``, if given, also receives every block in order — the
-        cache's shard layer uses it to share the single render pass.
-        Once the parse is done, a ``sink`` is fed by re-reading
-        :meth:`console_blocks`.
+        The first call runs the round trip: the blocks of
+        :meth:`console_blocks` are chained into one ``parse_lines``
+        call, which pulls them lazily.  ``sink``, if given, also
+        receives every block in order — the cache's shard layer uses it
+        to share the single render pass.  Once the parse is done, a
+        ``sink`` is fed by re-reading :meth:`console_blocks`.
         """
         if self._parsed is None:
             blocks = self.console_blocks()
             if sink is not None:
                 blocks = _tee(blocks, sink)
-            log, stats = parse_blocks(blocks, self.machine)
+            log, stats = ConsoleLogParser(self.machine).parse_lines(
+                itertools.chain.from_iterable(blocks)
+            )
             with perf.stage("telemetry.sort"):
                 self._parsed = (log.sorted_by_time(), stats)
             perf.count("telemetry.lines", stats.total_lines)
@@ -152,18 +190,19 @@ class SimulationDataset:
     ) -> "SimulationDataset":
         """Dataset variant whose *observable* console stream is replaced.
 
-        This is the chaos-experiment hook: the simulation's ground
-        truth (injection, fleet, nvsmi ledgers) is shared, but the
-        analyses will see ``text`` — e.g. a corrupted rendering — as
-        the console log.  ``parsed`` pre-seeds the parse cache when the
-        caller already parsed the text (it must be the time-sorted log
-        for ``text``); otherwise the default lenient parser runs
-        lazily.
+        This is the chaos-experiment hook: everything else (ground
+        truth, nvsmi and snapshot layers) is shared, but the analyses
+        will see ``text`` — e.g. a corrupted rendering — as the console
+        log.  ``parsed`` pre-seeds the parse cache when the caller
+        already parsed the text (it must be the time-sorted log for
+        ``text``); otherwise the default lenient parser runs lazily.
         """
-        import dataclasses
-
         return dataclasses.replace(
-            self, _console_text=text, _parsed=parsed, provenance="modified"
+            self,
+            _console_shards=None,
+            _console_text=text,
+            _parsed=parsed,
+            provenance="modified",
         )
 
     @property
@@ -200,7 +239,27 @@ class SimulationDataset:
             self._locator = JobLocator(self.trace, self.machine.allocation_rank)
         return self._locator
 
-    # -- ground truth helpers used by tests ------------------------------------
+    # -- ground truth (never cached) -------------------------------------------
+
+    @property
+    def injection(self) -> InjectionResult:
+        return _ground_truth("injection", self._injection)
+
+    @property
+    def fleet(self) -> GPUFleet:
+        return _ground_truth("fleet", self._fleet)
+
+    @property
+    def thermal(self) -> ThermalModel:
+        return _ground_truth("thermal", self._thermal)
+
+    @property
+    def users(self) -> UserPopulation:
+        return _ground_truth("users", self._users)
+
+    @property
+    def nvsmi(self) -> NvidiaSmi:
+        return _ground_truth("nvsmi", self._nvsmi)
 
     @property
     def events(self) -> EventLog:
@@ -260,12 +319,12 @@ class TitanSimulation:
         return SimulationDataset(
             scenario=sc,
             machine=machine,
-            fleet=fleet,
-            thermal=thermal,
-            users=generator.users,
             trace=trace,
-            injection=injection,
-            nvsmi=nvsmi,
+            _fleet=fleet,
+            _thermal=thermal,
+            _users=generator.users,
+            _injection=injection,
+            _nvsmi=nvsmi,
         )
 
 

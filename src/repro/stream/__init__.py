@@ -1,11 +1,12 @@
 """repro.stream — out-of-core, sharded telemetry with a memory budget.
 
-The generation side renders telemetry straight to whole-line-aligned
-disk shards (:func:`write_shards`) instead of joining one giant
-string; readers verify each shard against the manifest digest and
-hold one shard at a time.  The artifact cache persists the console
-layer in the same manifest format.  See docs/PERFORMANCE.md
-("Memory").
+``repro simulate --log-shards`` streams the console log straight to
+whole-line-aligned disk shards (:func:`write_shards`) instead of
+joining one giant string; readers verify each shard against the
+manifest digest and hold one shard at a time.  The artifact cache
+persists its console layer in the same manifest format, and both sides
+build and check a shard's record with :meth:`ShardInfo.of` and
+:meth:`ShardInfo.matches`.  See docs/PERFORMANCE.md ("Memory").
 """
 
 from repro.stream.shards import (

@@ -3,9 +3,9 @@
 The telemetry emitters can render a 21-month console stream as one
 giant string, but an honest machine-scale sweep cannot afford that: at
 scale 4 the rendered log alone is hundreds of megabytes before the
-parser even starts.  This module is the disk-backed alternative every
-emitter shares — a directory of *shards*, each a newline-terminated,
-whole-line-aligned text file, described by a single ``manifest.json``:
+parser even starts.  This module is the disk-backed alternative — a
+directory of *shards*, each a newline-terminated, whole-line-aligned
+text file, described by a single ``manifest.json``:
 
 * **whole-line alignment** — a shard always ends exactly after a
   line's trailing ``\\n``, so concatenating the shard payloads in
@@ -76,6 +76,23 @@ class ShardInfo:
     nbytes: int
     sha256: str
 
+    @classmethod
+    def of(cls, name: str, lines: int, payload: bytes) -> "ShardInfo":
+        """The record of a shard holding ``payload``."""
+        return cls(
+            name=name,
+            lines=lines,
+            nbytes=len(payload),
+            sha256=hashlib.sha256(payload).hexdigest(),
+        )
+
+    def matches(self, payload: bytes) -> bool:
+        """Whether ``payload`` has this shard's length and digest."""
+        return (
+            len(payload) == self.nbytes
+            and hashlib.sha256(payload).hexdigest() == self.sha256
+        )
+
     def to_doc(self) -> dict[str, object]:
         return {
             "name": self.name,
@@ -138,10 +155,6 @@ def _atomic_write_bytes(path: Path, payload: bytes) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def _sha256_hex(payload: bytes) -> str:
-    return hashlib.sha256(payload).hexdigest()
-
-
 def shard_name(index: int) -> str:
     """Canonical shard file name for shard ``index``."""
     return f"shard-{index:06d}.log"
@@ -197,18 +210,11 @@ def write_shards(
         lines, max_lines_per_shard=max_lines_per_shard
     ):
         payload = text.encode("utf-8")
-        name = shard_name(len(shards))
-        _atomic_write_bytes(directory / name, payload)
-        shards.append(
-            ShardInfo(
-                name=name,
-                lines=n_lines,
-                nbytes=len(payload),
-                sha256=_sha256_hex(payload),
-            )
-        )
+        shard = ShardInfo.of(shard_name(len(shards)), n_lines, payload)
+        _atomic_write_bytes(directory / shard.name, payload)
+        shards.append(shard)
         total_lines += n_lines
-        total_bytes += len(payload)
+        total_bytes += shard.nbytes
 
     manifest = ShardManifest(
         total_lines=total_lines,
@@ -252,14 +258,11 @@ def _read_shard_bytes(
         raise ShardCorruption(
             f"shard {shard.name} unreadable: {exc}"
         ) from exc
-    if verify:
-        if len(payload) != shard.nbytes:
-            raise ShardCorruption(
-                f"shard {shard.name} is {len(payload)} bytes, "
-                f"manifest claims {shard.nbytes}"
-            )
-        if _sha256_hex(payload) != shard.sha256:
-            raise ShardCorruption(f"shard {shard.name} checksum mismatch")
+    if verify and not shard.matches(payload):
+        raise ShardCorruption(
+            f"shard {shard.name} does not match its manifest record "
+            f"({len(payload)} bytes, manifest claims {shard.nbytes})"
+        )
     return payload
 
 

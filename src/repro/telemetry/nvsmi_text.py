@@ -15,21 +15,12 @@ by the parser (real reports carry dozens of unrelated sections).
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from pathlib import Path
 
-from repro.stream.shards import (
-    DEFAULT_SHARD_LINES,
-    ShardManifest,
-    write_shards,
-)
 from repro.telemetry.nvsmi import NvsmiRecord
 
 __all__ = [
     "render_nvsmi_query",
-    "iter_nvsmi_lines",
-    "write_nvsmi_shards",
     "parse_nvsmi_query",
     "parse_nvsmi_fleet",
     "ParsedNvsmiQuery",
@@ -80,37 +71,6 @@ def render_nvsmi_query(record: NvsmiRecord, *, gpu_index: int = 0) -> str:
         f"        Retired Page Count          : {record.retired_pages}"
     )
     return "\n".join(lines) + "\n"
-
-
-def iter_nvsmi_lines(records: Iterable[NvsmiRecord]) -> Iterator[str]:
-    """Every report line of a fleet's snapshots, one record at a time.
-
-    Concatenating the lines (newline-terminated) is byte-identical to
-    joining :func:`render_nvsmi_query` over the fleet with sequential
-    ``gpu_index`` values.
-    """
-    for gpu_index, record in enumerate(records):
-        yield from render_nvsmi_query(
-            record, gpu_index=gpu_index
-        ).splitlines()
-
-
-def write_nvsmi_shards(
-    records: Iterable[NvsmiRecord],
-    directory: str | Path,
-    *,
-    max_lines_per_shard: int = DEFAULT_SHARD_LINES,
-) -> ShardManifest:
-    """Render fleet snapshots straight to whole-line-aligned shards.
-
-    See :mod:`repro.stream.shards`; the reassembled text equals the
-    monolithic fleet rendering byte for byte.
-    """
-    return write_shards(
-        iter_nvsmi_lines(records),
-        directory,
-        max_lines_per_shard=max_lines_per_shard,
-    )
 
 
 @dataclass(frozen=True)

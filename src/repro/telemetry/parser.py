@@ -252,16 +252,23 @@ class ConsoleLogParser:
 
         Returns the (unsorted — log-order) event log and statistics.
         Raises :class:`IngestionError` (strict mode) or
-        :class:`IngestionDegraded` (error budget exceeded).
-        ``first_line_no`` offsets the reported line numbers (strict
-        errors, quarantine records) so chunked parsing of a large log
-        attributes rejects to their true position in the whole stream.
+        :class:`IngestionDegraded` (error budget exceeded, checked once
+        after the last line).  ``first_line_no`` offsets the reported
+        line numbers (strict errors, quarantine records).
+
+        ``lines`` is consumed lazily, one slice at a time, so a stream
+        of render windows or stored shards chained together is parsed
+        without ever being held whole.  Only the decode of each slice
+        is timed as the ``telemetry.parse`` :mod:`repro.perf` stage: a
+        producer that renders or reads lines lazily keeps its own time
+        out of it.
         """
         stats = ParseStats()
         logs: list[EventLog] = []
         rows = iter(lines)
         while chunk := list(islice(rows, console._SLICE_ROWS)):
-            logs.append(self._parse_slice(chunk, first_line_no, stats))
+            with perf.stage("telemetry.parse"):
+                logs.append(self._parse_slice(chunk, first_line_no, stats))
             first_line_no += len(chunk)
         log = EventLog.concatenate(logs)
         if (

@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 
 from repro.cache import (
     ArtifactStore,
-    CachedDataset,
     GroundTruthUnavailable,
     PIPELINE_EPOCH,
     canonical_encode,
@@ -538,7 +537,7 @@ class TestPipeline:
     def test_warm_load_bit_identical_observables(self, warm_store):
         store, cold = warm_store
         warm = load_dataset(store, SMOKE)
-        assert isinstance(warm, CachedDataset)
+        assert warm.provenance == "cache"
         assert warm.console_text == cold.console_text
         assert len(warm.parsed_events) == len(cold.parsed_events)
         np.testing.assert_array_equal(
@@ -561,8 +560,8 @@ class TestPipeline:
     def test_ground_truth_never_cached(self, warm_store):
         store, _ = warm_store
         warm = load_dataset(store, SMOKE)
-        for attr in ("events", "injection", "fleet", "nvsmi",
-                     "node_state_log", "sbe_by_slot"):
+        for attr in ("events", "injection", "fleet", "thermal", "users",
+                     "nvsmi", "node_state_log", "sbe_by_slot", "sbe_by_job"):
             with pytest.raises(GroundTruthUnavailable):
                 getattr(warm, attr)
 

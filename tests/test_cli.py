@@ -284,3 +284,47 @@ class TestRemovedOptions:
             main(argv)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+class TestFractionFlags:
+    """Every fraction flag takes a value in [0, 1]; anything else is a
+    usage error (exit 2), never a silently pristine run or a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--chaos-rate", "-0.5"], "--chaos-rate"),
+            (["simulate", "--chaos-rate", "1.5"], "--chaos-rate"),
+            (["simulate", "--chaos-rate", "nan"], "--chaos-rate"),
+            (["corrupt", "x.log", "--rate", "-0.2"], "--rate"),
+            (["corrupt", "x.log", "--rate", "half"], "--rate"),
+            (["degradation", "--levels", "-0.1"], "--levels"),
+            (["degradation", "--levels", "0,0.01,1.5"], "--levels"),
+            (["degradation", "--levels", "0,x"], "--levels"),
+            (["degradation", "--budget", "1.5"], "--budget"),
+            (["degradation", "--budget", "-0.01"], "--budget"),
+            (["degradation", "--fail-level", "-0.5"], "--fail-level"),
+        ],
+    )
+    def test_out_of_range_is_a_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_bounds_are_inclusive(self):
+        args = build_parser().parse_args(
+            ["degradation", "--levels", "0, 0.5 ,1", "--budget", "1"]
+        )
+        assert args.levels == (0.0, 0.5, 1.0)
+        assert args.budget == 1.0
+        assert build_parser().parse_args(
+            ["simulate", "--chaos-rate", "1"]
+        ).chaos_rate == 1.0
+        assert build_parser().parse_args(
+            ["corrupt", "x.log", "--rate", "0"]
+        ).rate == 0.0
+
+    def test_default_levels_parse(self):
+        args = build_parser().parse_args(["degradation"])
+        assert args.levels == (0.0, 0.001, 0.01, 0.05, 0.2)

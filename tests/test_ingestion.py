@@ -7,6 +7,8 @@ raise on arbitrary input, and the ParseStats primary counters must
 always partition the input lines.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,7 +32,6 @@ from repro.telemetry.nvsmi_text import (
     parse_nvsmi_query,
     render_nvsmi_query,
 )
-from repro.telemetry.parallel_parse import parse_blocks
 from repro.telemetry.parser import ConsoleLogParser
 
 
@@ -501,16 +502,25 @@ class TestFastSlowEquivalence:
         _assert_same_parse(smoke_dataset.machine, lines)
 
 
-def _halves(lines):
-    """Two whole-line blocks, the seam after line ``ceil(n / 2)``."""
+def _parse_chained_halves(parser, lines):
+    """``parser.parse_lines`` over two whole-line blocks (the seam after
+    line ``ceil(n / 2)``) chained into one lazy stream, decoded in
+    10-row slices."""
     mid = -(-len(lines) // 2)
-    return [lines[:mid], lines[mid:]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(console, "_SLICE_ROWS", 10)
+        return parser.parse_lines(
+            itertools.chain.from_iterable([lines[:mid], lines[mid:]])
+        )
 
 
 class TestParallelParse:
-    """Parsing a stream split into blocks must be observably identical
-    to one serial parse: same rows, stats, errors and quarantine
-    contents.  (Pinned examples; the property in ``test_stream`` draws
+    """Parsing a stream split into blocks, chained into one lazy
+    ``parse_lines`` call, must be observably identical to one serial
+    parse of a list: same rows, stats, errors and quarantine contents.
+    The chained parse decodes in 10-row slices, so the parser's own
+    seams fall inside each stream too, while the serial reference is one
+    slice.  (Pinned examples; the property in ``test_stream`` draws
     arbitrary splits.)"""
 
     def test_parallel_matches_serial(self, smoke_dataset, gpu_lines):
@@ -518,7 +528,9 @@ class TestParallelParse:
         serial_log, serial_stats = ConsoleLogParser(
             smoke_dataset.machine
         ).parse_lines(lines)
-        par_log, par_stats = parse_blocks(_halves(lines), smoke_dataset.machine)
+        par_log, par_stats = _parse_chained_halves(
+            ConsoleLogParser(smoke_dataset.machine), lines
+        )
         _assert_logs_equal(par_log, serial_log)
         assert par_stats == serial_stats
 
@@ -534,7 +546,9 @@ class TestParallelParse:
         serial_log, serial_stats = ConsoleLogParser(
             smoke_dataset.machine
         ).parse_lines(lines)
-        par_log, par_stats = parse_blocks(_halves(lines), smoke_dataset.machine)
+        par_log, par_stats = _parse_chained_halves(
+            ConsoleLogParser(smoke_dataset.machine), lines
+        )
         assert par_stats.resynced_lines == serial_stats.resynced_lines >= 1
         assert par_stats.accounted == par_stats.total_lines == 40
         _assert_logs_equal(par_log, serial_log)
@@ -551,7 +565,9 @@ class TestParallelParse:
             smoke_dataset.machine, quarantine=serial_sink
         ).parse_lines(lines)
         par_sink = QuarantineSink(capacity=3)
-        parse_blocks(_halves(lines), smoke_dataset.machine, quarantine=par_sink)
+        _parse_chained_halves(
+            ConsoleLogParser(smoke_dataset.machine, quarantine=par_sink), lines
+        )
         assert par_sink.total == serial_sink.total
         assert par_sink.counts == serial_sink.counts
         assert par_sink.n_overflowed == serial_sink.n_overflowed
@@ -569,7 +585,9 @@ class TestParallelParse:
         with pytest.raises(IngestionError) as serial_exc:
             ConsoleLogParser(smoke_dataset.machine, strict=True).parse_lines(lines)
         with pytest.raises(IngestionError) as par_exc:
-            parse_blocks(_halves(lines), smoke_dataset.machine, strict=True)
+            _parse_chained_halves(
+                ConsoleLogParser(smoke_dataset.machine, strict=True), lines
+            )
         assert par_exc.value.line_no == serial_exc.value.line_no == 5
         assert par_exc.value.category == serial_exc.value.category
 
@@ -580,8 +598,8 @@ class TestParallelParse:
                 smoke_dataset.machine, error_budget=0.2
             ).parse_lines(lines)
         with pytest.raises(IngestionDegraded) as par_exc:
-            parse_blocks(
-                _halves(lines), smoke_dataset.machine, error_budget=0.2
+            _parse_chained_halves(
+                ConsoleLogParser(smoke_dataset.machine, error_budget=0.2), lines
             )
         assert par_exc.value.stats == serial_exc.value.stats
         assert par_exc.value.fraction == serial_exc.value.fraction

@@ -7,6 +7,7 @@ instrumentation accumulates, and ``python -m repro profile`` surfaces
 the per-stage breakdown.
 """
 
+import itertools
 import json
 
 import pytest
@@ -129,12 +130,14 @@ class TestParseFallbackCounter:
 
     def _fallback(self, text, machine):
         from repro.telemetry.console import text_windows
-        from repro.telemetry.parallel_parse import parse_blocks
+        from repro.telemetry.parser import ConsoleLogParser
 
         perf.reset()
         perf.enable()
         try:
-            parse_blocks(text_windows(text), machine)
+            ConsoleLogParser(machine).parse_lines(
+                itertools.chain.from_iterable(text_windows(text))
+            )
         finally:
             perf.disable()
         return perf.snapshot()["counters"]["telemetry.parse_fallback"]

@@ -2,8 +2,8 @@
 
 Everything here guards one contract: rendering and parsing in blocks
 is a *memory* bound, never a semantic change.  Sharded renderings
-reassemble byte-identical to the whole text, the block parse core
-reproduces one serial parse's log, statistics, strict errors,
+reassemble byte-identical to the whole text, one ``parse_lines`` call
+over chained blocks reproduces one serial parse's log, statistics, strict errors,
 quarantine and budget verdict for any block split, a cold run renders
 each event once straight into the parser and the sharded console cache
 layer, and a paper run through that pass reproduces the committed
@@ -46,7 +46,6 @@ from repro.stream import (
 from repro.telemetry import console
 from repro.telemetry.console import ConsoleLogWriter
 from repro.telemetry.coverage import infer_outage_windows
-from repro.telemetry.parallel_parse import parse_blocks
 from repro.telemetry.ingestion import (
     IngestionDegraded,
     IngestionError,
@@ -158,12 +157,15 @@ class TestShards:
 
 
 # ---------------------------------------------------------------------------
-# Parse equivalence: the block parse core vs one serial parse
+# Parse equivalence: chained blocks vs one serial parse
 # ---------------------------------------------------------------------------
 
 
-def _blocks(lines, size):
-    return [lines[i : i + size] for i in range(0, len(lines), size)]
+def _chained(lines, size):
+    """``lines`` as ``size``-line blocks, chained into one lazy stream."""
+    return itertools.chain.from_iterable(
+        lines[i : i + size] for i in range(0, len(lines), size)
+    )
 
 
 def _outcome(parse):
@@ -205,8 +207,8 @@ class TestParseEquivalence:
         serial = ConsoleLogParser(smoke_dataset.machine).parse_lines(
             console_lines
         )
-        blocked = parse_blocks(
-            _blocks(console_lines, 1000), smoke_dataset.machine
+        blocked = ConsoleLogParser(smoke_dataset.machine).parse_lines(
+            _chained(console_lines, 1000)
         )
         assert_logs_equal(serial[0], blocked[0])
         assert serial[1] == blocked[1]
@@ -234,13 +236,14 @@ class TestParseEquivalence:
         Lines are drawn from real console records, chaos-corrupted
         records, records fused or torn by a lost newline, and printable
         garbage.  The stream is split into blocks at arbitrary seams
-        (empty and single-line blocks included) and parsed by the one
-        core under drawn strict/quarantine/budget settings; log rows,
-        statistics, the global line number of a strict error, the
-        quarantine records and the budget verdict must all equal one
-        serial per-line (``fast=False``) ``parse_lines`` over the whole
-        input, so the block parse's columnar decode is held to the
-        reference path, not to itself.  Shards of the same lines must
+        (empty and single-line blocks included), chained into one
+        ``parse_lines`` call that decodes in drawn 1–7-row slices, under
+        drawn strict/quarantine/budget settings; log rows, statistics,
+        the global line number of a strict error, the quarantine records
+        and the budget verdict must all equal one serial per-line
+        (``fast=False``) ``parse_lines`` over the whole input list, so
+        the chained parse's columnar decode is held to the reference
+        path, not to itself.  Shards of the same lines must
         reassemble to the whole rendering.
         """
         a, b = gpu_record_lines
@@ -266,6 +269,7 @@ class TestParseEquivalence:
         strict = data.draw(st.booleans())
         capacity = data.draw(st.none() | st.integers(0, 5))
         budget = data.draw(st.none() | st.floats(0.0, 1.0))
+        slice_rows = data.draw(st.integers(1, 7))
 
         def sink():
             return None if capacity is None else QuarantineSink(capacity)
@@ -281,15 +285,16 @@ class TestParseEquivalence:
                 fast=False,
             ).parse_lines(lines)
         )
-        blocked = _outcome(
-            lambda: parse_blocks(
-                blocks,
-                machine,
-                strict=strict,
-                error_budget=budget,
-                quarantine=block_sink,
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(console, "_SLICE_ROWS", slice_rows)
+            blocked = _outcome(
+                lambda: ConsoleLogParser(
+                    machine,
+                    strict=strict,
+                    error_budget=budget,
+                    quarantine=block_sink,
+                ).parse_lines(itertools.chain.from_iterable(blocks))
             )
-        )
         assert blocked == serial
         assert _sink_state(block_sink) == _sink_state(serial_sink)
 
@@ -307,7 +312,9 @@ class TestParseEquivalence:
     ):
         lines = [gpu_record_lines[0]] * 5 + ["garbage GPU XID zzz"]
         with pytest.raises(IngestionError) as excinfo:
-            parse_blocks(_blocks(lines, 2), smoke_dataset.machine, strict=True)
+            ConsoleLogParser(smoke_dataset.machine, strict=True).parse_lines(
+                _chained(lines, 2)
+            )
         assert excinfo.value.line_no == 6
 
 
@@ -363,7 +370,9 @@ class TestSeamRecovery:
         lines = [a, b, a + b, b, a]
         serial = ConsoleLogParser(smoke_dataset.machine).parse_lines(lines)
         for size in (1, 2, 3):
-            blocked = parse_blocks(_blocks(lines, size), smoke_dataset.machine)
+            blocked = ConsoleLogParser(smoke_dataset.machine).parse_lines(
+                _chained(lines, size)
+            )
             assert_logs_equal(serial[0], blocked[0])
             assert serial[1] == blocked[1]
 
@@ -438,6 +447,12 @@ class TestShardedCacheLayer:
         dataset, warm = load_or_simulate(smoke_dataset.scenario, store)
         assert not warm
         assert dataset.console_text == smoke_dataset.console_text
+
+        # Same byte length, one character changed: only the digest
+        # tells it from the manifest's record.
+        original = store.get(shard_key)
+        store.put(shard_key, original.replace("GPU", "GPV", 1), "text")
+        assert load_dataset(store, smoke_dataset.scenario) is None
 
     def test_cold_run_renders_each_row_once(
         self, store, smoke_dataset, small_windows, monkeypatch
