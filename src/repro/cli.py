@@ -34,6 +34,7 @@ public API one-to-one so scripts can graduate to imports.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -62,6 +63,28 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> float:
+    """argparse type: a finite float > 0; anything else exits 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not (value > 0.0 and math.isfinite(value)):  # also rejects nan
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
+    return value
+
+
+def _count(text: str) -> int:
+    """argparse type: an integer >= 0; anything else exits 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid count: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
 def _fractions(text: str) -> tuple[float, ...]:
     """argparse type: comma-separated fractions, each in [0, 1]."""
     return tuple(_fraction(item) for item in text.split(",") if item.strip())
@@ -71,7 +94,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=20131001)
     p.add_argument("--full", action="store_true",
                    help="run the full 21-month paper scenario")
-    p.add_argument("--days", type=float, default=60.0,
+    p.add_argument("--days", type=_positive, default=60.0,
                    help="window length for the default quick scenario")
     p.add_argument("--cache-dir", type=Path, default=None,
                    help="content-addressed artifact store to reuse "
@@ -146,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_health = sub.add_parser("fleet-health", help="operator triage summary")
     _add_common(p_health)
-    p_health.add_argument("--top", type=int, default=10)
+    p_health.add_argument("--top", type=_count, default=10)
 
     p_cal = sub.add_parser(
         "calibration", help="validate measured statistics against RateConfig"
@@ -163,9 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="total per-line corruption rate (spread "
                             "uniformly over the fault modes)")
     p_cor.add_argument("--seed", type=int, default=20131001)
-    p_cor.add_argument("--outages", type=int, default=0,
+    p_cor.add_argument("--outages", type=_count, default=0,
                        help="also drop this many SMW-outage windows")
-    p_cor.add_argument("--outage-hours", type=float, default=6.0,
+    p_cor.add_argument("--outage-hours", type=_positive, default=6.0,
                        help="mean outage duration in hours")
 
     p_deg = sub.add_parser(

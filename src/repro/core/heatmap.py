@@ -64,6 +64,27 @@ class FollowMatrix:
         ]
 
 
+def _n_followed(ti: np.ndarray, horizon: np.ndarray, tj: np.ndarray) -> int:
+    """How many of the sorted times ``ti`` see a ``tj`` in (t, horizon].
+
+    The needles come from the smaller stream.  Searching
+    ``ti`` in ``tj`` finds the first type-j time after each type-i
+    event, which must lie within its horizon; NaN past the last type-j
+    time compares false, so an event with nothing after it is not
+    followed.  Searching ``tj`` instead, each type-j time ``s`` follows
+    the type-i events with ``t < s <= horizon``: a run of positions
+    ``[first horizon >= s, first t >= s)`` whose ends move right as
+    ``s`` grows, so their union is counted without visiting ``ti``.
+    """
+    if ti.size <= tj.size:
+        after = np.append(tj, np.nan)[np.searchsorted(tj, ti, side="right")]
+        return int(np.count_nonzero(after <= horizon))
+    start = np.searchsorted(horizon, tj)
+    stop = np.searchsorted(ti, tj)
+    covered_before = np.concatenate(([0], stop[:-1]))
+    return int(np.maximum(stop - np.maximum(start, covered_before), 0).sum())
+
+
 def follow_probability_matrix(
     log: EventLog,
     *,
@@ -72,36 +93,26 @@ def follow_probability_matrix(
 ) -> FollowMatrix:
     """Compute the Fig. 13 heatmap from a time-sorted event log.
 
-    For every type-i event at time t, scan [t, t+window] for each type
+    For every type-i event at time t, scan (t, t+window] for each type
     j (machine-wide, like the paper); cell (i, j) is the fraction of
-    type-i events followed by ≥1 type-j event.  Implementation:
-    per-type sorted time arrays + searchsorted, so cost is
-    O(Σ_i n_i · k · log n).
+    type-i events followed by ≥1 type-j event.  Implementation: per-type
+    sorted time arrays and, per cell, ``searchsorted`` with the smaller
+    of the two streams as needles, so cost is
+    O(Σ_{i,j} min(n_i, n_j) · log n) — the 976k-event XID 13 stream is
+    the needles only of its own diagonal cell, not of every column.
     """
     if window_s <= 0:
         raise ValueError("window must be positive")
     if not log.is_sorted():
         log = log.sorted_by_time()
     k = len(types)
-    times_by_type = [log.of_type(t).time for t in types]
+    times_by_type = [log.time[log.etype == t.code] for t in types]
     counts = np.asarray([t.size for t in times_by_type], dtype=np.int64)
     matrix = np.zeros((k, k), dtype=np.float64)
-    for i in range(k):
-        ti = times_by_type[i]
+    for i, ti in enumerate(times_by_type):
         if ti.size == 0:
             continue
-        for j in range(k):
-            tj = times_by_type[j]
-            if tj.size == 0:
-                continue
-            lo = np.searchsorted(tj, ti, side="right")
-            hi = np.searchsorted(tj, ti + window_s, side="right")
-            followed = hi > lo
-            if i == j:
-                # An event does not follow itself; strictly-later
-                # same-type events are found by the (lo, hi] interval
-                # already because side="right" skips equal times only
-                # for the *same* timestamp.
-                pass
-            matrix[i, j] = float(np.count_nonzero(followed) / ti.size)
+        horizon = ti + window_s
+        for j, tj in enumerate(times_by_type):
+            matrix[i, j] = _n_followed(ti, horizon, tj) / ti.size
     return FollowMatrix(tuple(types), float(window_s), matrix, counts)

@@ -62,14 +62,14 @@ def rankdata_average(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     order = np.argsort(x, kind="stable")
     ranks = np.empty(x.size, dtype=np.float64)
+    if x.size == 0:
+        return ranks
     sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Tie groups are runs of equal sorted values; group [i, j] (first
+    # and last sorted position) shares the rank 0.5 * (i + j) + 1.
+    first = np.flatnonzero(np.concatenate(([True], sx[1:] != sx[:-1])))
+    last = np.append(first[1:], x.size) - 1
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 

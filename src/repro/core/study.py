@@ -33,7 +33,7 @@ from repro.core.correlation import (
     sbe_resource_correlations,
     user_level_correlation,
 )
-from repro.core.filtering import dedup_by_card, sequential_dedup
+from repro.core.filtering import FilterResult, dedup_by_card, sequential_dedup
 from repro.core.heatmap import FollowMatrix, follow_probability_matrix
 from repro.core.offenders import exclude_jobs_using, exclude_slots, offender_slots
 from repro.core.retirement import RetirementDelayReport, retirement_delay_analysis
@@ -188,6 +188,7 @@ class TitanStudy:
         self.ds = dataset
         self.coverage = coverage
         self._log: EventLog | None = None
+        self._xid13_5s: FilterResult | None = None
         self.store = store
         self._memo: dict[str, Any] = {}
         self._dataset_key: str | None = None
@@ -318,6 +319,21 @@ class TitanStudy:
         if self._log is None:
             self._log = self.ds.parsed_events
         return self._log
+
+    def _xid13(self, window_s: float) -> FilterResult:
+        """The XID 13 stream split by the ``window_s`` child filter.
+
+        The stream and its standard 5-second split are built once per
+        study and shared by Figs. 10 and 12; other windows re-filter the
+        shared stream.
+        """
+        if self._xid13_5s is None:
+            self._xid13_5s = sequential_dedup(
+                self.log.of_type(ErrorType.GRAPHICS_ENGINE_EXCEPTION), 5.0
+            )
+        if window_s == 5.0:
+            return self._xid13_5s
+        return sequential_dedup(self._xid13_5s.log, window_s)
 
     @property
     def window(self) -> tuple[float, float]:
@@ -485,8 +501,7 @@ class TitanStudy:
 
     def _fig10(self, dedup_window_s: float = 5.0) -> MonthlyFigure:
         start, end = self.window
-        xid13 = self.log.of_type(ErrorType.GRAPHICS_ENGINE_EXCEPTION)
-        filtered = sequential_dedup(xid13, dedup_window_s).kept
+        filtered = self._xid13(dedup_window_s).kept
         return MonthlyFigure(
             etype=ErrorType.GRAPHICS_ENGINE_EXCEPTION,
             counts=monthly_counts(filtered),
@@ -513,17 +528,17 @@ class TitanStudy:
         return self._figure("fig12", self._fig12)
 
     def _fig12(self, window_s: float = 5.0) -> Fig12Result:
-        xid13 = self.log.of_type(ErrorType.GRAPHICS_ENGINE_EXCEPTION)
-        result = sequential_dedup(xid13, window_s)
+        result = self._xid13(window_s)
         machine = self.ds.machine
-        grid_all = cabinet_grid_from_events(xid13, machine)
+        grid_all = cabinet_grid_from_events(result.log, machine)
         grid_kept = cabinet_grid_from_events(result.kept, machine)
-        grid_drop = cabinet_grid_from_events(result.dropped, machine)
+        # Counts add up, so the children's grid needs no copy of them.
+        grid_drop = grid_all - grid_kept
         return Fig12Result(
             grid_unfiltered=grid_all,
             grid_filtered=grid_kept,
             grid_children=grid_drop,
-            n_unfiltered=len(xid13),
+            n_unfiltered=len(result.log),
             n_filtered=result.n_kept,
             alternation_unfiltered=grid_alternation_score(grid_all),
             alternation_filtered=grid_alternation_score(grid_kept),

@@ -146,9 +146,10 @@ class EventLog:
 
         Note: ``parent`` indices refer to rows of the *original* log and
         are not remapped; parent-aware analyses should run before
-        selection or use :meth:`select_with_parent_remap`.
+        selection or use :meth:`select_with_parent_remap`.  Indexing by
+        a mask or index array already copies each column.
         """
-        return EventLog(**{name: getattr(self, name)[mask].copy() for name in _COLUMNS})
+        return EventLog(**{name: getattr(self, name)[mask] for name in _COLUMNS})
 
     def select_with_parent_remap(self, mask: np.ndarray) -> "EventLog":
         """Subset and remap ``parent`` to the new row numbering.
@@ -164,7 +165,7 @@ class EventLog:
         new_index = np.full(len(self), -1, dtype=np.int64)
         new_index[mask] = np.arange(int(mask.sum()))
         out = self.select(mask)
-        parent = out.parent.copy()
+        parent = out.parent
         valid = parent >= 0
         remapped = np.where(valid, new_index[np.clip(parent, 0, None)], -1)
         object.__setattr__(out, "parent", remapped)
@@ -173,6 +174,8 @@ class EventLog:
 
     def of_type(self, *etypes: ErrorType) -> "EventLog":
         """Events whose type is one of ``etypes``."""
+        if len(etypes) == 1:
+            return self.select(self.etype == etypes[0].code)
         codes = np.asarray([t.code for t in etypes], dtype=np.int16)
         return self.select(np.isin(self.etype, codes))
 

@@ -328,3 +328,54 @@ class TestFractionFlags:
     def test_default_levels_parse(self):
         args = build_parser().parse_args(["degradation"])
         assert args.levels == (0.0, 0.001, 0.01, 0.05, 0.2)
+
+
+class TestNumericFlags:
+    """``--days``, ``--top``, ``--outages`` and ``--outage-hours`` take
+    effect or are a usage error (exit 2) naming the flag, raised while
+    parsing: never a traceback after simulating, never a silent no-op."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--days", "-5"], "--days"),
+            (["observations", "--days", "0"], "--days"),
+            (["figures", "--days", "nan"], "--days"),
+            (["profile", "--days", "inf"], "--days"),
+            (["run", "--days", "ten"], "--days"),
+            (["fleet-health", "--top", "-1"], "--top"),
+            (["fleet-health", "--top", "2.5"], "--top"),
+            (["corrupt", "x.log", "--outages", "-3"], "--outages"),
+            (["corrupt", "x.log", "--outage-hours", "nan"], "--outage-hours"),
+            (["corrupt", "x.log", "--outage-hours", "-1"], "--outage-hours"),
+            (["corrupt", "x.log", "--outage-hours", "0"], "--outage-hours"),
+        ],
+    )
+    def test_invalid_is_a_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_valid_values_parse(self):
+        parser = build_parser()
+        assert parser.parse_args(["simulate", "--days", "0.5"]).days == 0.5
+        assert parser.parse_args(["fleet-health", "--top", "0"]).top == 0
+        args = parser.parse_args(
+            ["corrupt", "x.log", "--outages", "0", "--outage-hours", "0.25"]
+        )
+        assert (args.outages, args.outage_hours) == (0, 0.25)
+
+    def test_outage_flags_take_effect(self, tmp_path, capsys):
+        log = tmp_path / "console.log"
+        log.write_text(
+            "".join(
+                f"2013-10-0{1 + i // 24}T{i % 24:02d}:00:00.000000 c0-0c0s0n0 "
+                f"GPU XID 13: Graphics Engine Exception\n"
+                for i in range(48)
+            )
+        )
+        assert main(["corrupt", str(log), "--rate", "0", "--outages", "3",
+                     "--outage-hours", "4"]) == 0
+        out = log.with_suffix(".log.corrupt").read_text().splitlines()
+        assert len(out) < 48
